@@ -17,8 +17,8 @@ result store closing that loop on the synthetic fleet:
   stand-in for touching its source) invalidates exactly its 50 cases
   (10 points x 5 environments); the warm re-run executes <= 5% of the
   campaign and its perflogs are byte-identical to the cold run's, its
-  trace identical modulo the ``replayed`` annotation -- across serial,
-  async and procs, swept over fault/retry seeds.
+  trace identical modulo the ``replayed`` annotation -- across serial
+  and async, swept over fault/retry seeds.
 """
 
 import os
@@ -143,13 +143,10 @@ def inc_class(index: int, rev: str = "r0"):
 
 
 CLASSES = [inc_class(i) for i in range(N_CLASSES)]
-for _cls in CLASSES:
-    # module-level bindings keep the classes picklable for --policy=procs
-    globals()[_cls.__name__] = _cls
 
 
 def set_rev(rev: str) -> None:
-    """Edit the first class in place (same object: procs stays happy)."""
+    """Edit the first class in place."""
     CLASSES[0].rev_tag = rev
     # the per-class source-hash memo would serve the stale hash; a real
     # edit lands in a fresh process where the memo starts empty
@@ -225,7 +222,7 @@ def regenerate(tmpdir):
     out["cold_artifacts"] = read_artifacts(cold_dir)
     out["warm_artifacts"] = read_artifacts(warm_dir)
 
-    # -- stage 3: 1% delta, three policies, seed-swept --------------------
+    # -- stage 3: 1% delta, both policies, seed-swept ---------------------
     try:
         for seed in SEEDS:
             sstore = os.path.join(tmpdir, f"store-{seed}")
@@ -238,8 +235,7 @@ def regenerate(tmpdir):
             cold_art = read_artifacts(os.path.join(sdir, "cold"))
             set_rev("r1")
             runs = {}
-            for policy, workers in [("serial", 1), ("async", WORKERS),
-                                    ("procs", WORKERS)]:
+            for policy, workers in [("serial", 1), ("async", WORKERS)]:
                 pdir = os.path.join(sdir, policy)
                 # each policy gets its own copy of the pristine cold
                 # store: a warm run *stores* the delta's new results
@@ -302,7 +298,7 @@ def test_incremental_campaign(once, tmp_path):
     # exactly; trace spans modulo the replayed annotation)
     assert res["warm_artifacts"] == res["cold_artifacts"]
 
-    # ---- 1% delta, seed-swept, three policies ---------------------------
+    # ---- 1% delta, seed-swept, both policies ----------------------------
     lines = []
     for seed, stages in res["seeds"].items():
         _, _, c_stats, c_summary, cold_art = stages["cold"]
@@ -324,11 +320,11 @@ def test_incremental_campaign(once, tmp_path):
                 f"seed {seed} {policy}: warm artifacts diverge from cold"
             )
             # identical campaign outcome across policies (modulo nothing:
-            # the summary includes the Replayed line, same for all three)
+            # the summary includes the Replayed line, same for both)
             assert summary == serial_summary
         conv = stages["converged"]
         assert conv["hits"] == CASES and conv["misses"] == 0
-    emit("Incremental campaign: 1% edit, 3 policies, seed-swept",
+    emit("Incremental campaign: 1% edit, 2 policies, seed-swept",
          "\n".join(lines))
 
     _update_baseline(

@@ -11,17 +11,10 @@ non-Spack probe cases -- and measures the simulator hot path end to end:
   rate) would predict;
 * **identity**: at 5k cases with the full artifact stack enabled
   (sharded perflogs, group-committed journal, batched trace), the
-  serial, async and procs policies must produce *byte-identical*
-  artifacts;
+  serial and async policies must produce *byte-identical* artifacts;
 * the measured numbers land in ``BENCH_runner.json``; the tier-1 gate
   ``tests/postprocess/test_large_campaign_smoke.py`` re-runs the 5k
   variant against them with a <= 2x regression ceiling.
-
-Scale notes (no silent caps): the procs policy is measured at 10k cases
-rather than 100k -- on a single-CPU runner its per-case IPC overhead
-makes the full sweep pointlessly slow, and its *correctness* at scale is
-what the identity stage locks in.  Wall-clock speedup from procs needs
-actual cores; the per-policy rates are recorded, not gated.
 """
 
 import json
@@ -40,7 +33,6 @@ from repro.runner.fields import parameter
 PINNED_TS = "2026-01-01T00:00:00"
 FLEET_NODES = 4096
 HEADLINE_CASES = 100_000
-PROCS_CASES = 10_000
 IDENTITY_CASES = 5_000
 WORKERS = 8
 #: group-commit sizes for the artifact stack (journal + trace fsyncs)
@@ -67,9 +59,7 @@ def fleet_site() -> SiteConfig:
 def probe_class(n_cases: int, name: str):
     """A RegressionTest subclass sweeping ``n_cases`` parameter points.
 
-    Module-level registration (below) keeps the classes picklable for
-    the procs policy's worker processes.  The probe is deliberately
-    minimal and non-Spack: the point is to measure the simulator --
+    The probe is deliberately minimal and non-Spack: the point is to measure the simulator --
     event queue, allocator, pipeline, writers -- not package builds.
     """
 
@@ -91,7 +81,6 @@ def probe_class(n_cases: int, name: str):
 
 
 HeadlineProbe = probe_class(HEADLINE_CASES, "HeadlineProbe")
-ProcsProbe = probe_class(PROCS_CASES, "ProcsProbe")
 IdentityProbe = probe_class(IDENTITY_CASES, "IdentityProbe")
 SmokeProbe = probe_class(5_000, "SmokeProbe")  # the tier-1 gate's sweep
 
@@ -145,12 +134,9 @@ def regenerate_headline():
     serial_rate, serial_s, _, _ = run_fleet(HeadlineProbe, site=site)
     async_rate, async_s, _, _ = run_fleet(HeadlineProbe, policy="async",
                                           workers=WORKERS, site=site)
-    procs_rate, procs_s, _, _ = run_fleet(ProcsProbe, policy="procs",
-                                          workers=WORKERS, site=site)
     return {
         "serial": (serial_rate, serial_s),
         "async": (async_rate, async_s),
-        "procs": (procs_rate, procs_s),
     }
 
 
@@ -165,9 +151,6 @@ def test_100k_case_campaign_rate(once):
         f"async  : {rates['async'][1]:8.2f} s  "
         f"({rates['async'][0]:7.0f} cases/s, {HEADLINE_CASES} cases, "
         f"{WORKERS} threads)\n"
-        f"procs  : {rates['procs'][1]:8.2f} s  "
-        f"({rates['procs'][0]:7.0f} cases/s, {PROCS_CASES} cases, "
-        f"{WORKERS} processes)\n"
         f"naive extrapolation baseline: {baseline:.2f} cases/s\n"
         f"speedup vs naive: {speedup:.1f}x (floor {SPEEDUP_FLOOR:.0f}x)",
     )
@@ -182,8 +165,6 @@ def test_100k_case_campaign_rate(once):
         large_campaign_serial_cases_per_second=round(
             rates["serial"][0], 1),
         large_campaign_async_cases_per_second=round(rates["async"][0], 1),
-        large_campaign_procs_cases=PROCS_CASES,
-        large_campaign_procs_cases_per_second=round(rates["procs"][0], 1),
         large_campaign_speedup_vs_naive=round(speedup, 1),
     )
 
@@ -191,8 +172,7 @@ def test_100k_case_campaign_rate(once):
 def regenerate_identity(tmpdir):
     site = fleet_site()
     out = {}
-    for policy, workers in [("serial", 1), ("async", WORKERS),
-                            ("procs", WORKERS)]:
+    for policy, workers in [("serial", 1), ("async", WORKERS)]:
         sub = os.path.join(tmpdir, policy)
         os.makedirs(sub, exist_ok=True)
         rate, elapsed, report, artifacts = run_fleet(
@@ -203,12 +183,12 @@ def regenerate_identity(tmpdir):
     return out
 
 def test_5k_artifact_identity_across_policies(once, tmp_path):
-    """Perflogs, journal and trace byte-identical for serial/async/procs
-    on the fleet campaign with the batched writers engaged."""
+    """Perflogs, journal and trace byte-identical for serial/async on
+    the fleet campaign with the batched writers engaged."""
     runs = once(regenerate_identity, str(tmp_path))
     serial_rate, serial_s, serial_summary, serial_art = runs["serial"]
     emit(
-        "Fleet campaign artifacts: 5k cases, full stack, 3 policies",
+        "Fleet campaign artifacts: 5k cases, full stack, 2 policies",
         "\n".join(
             f"{policy:6s}: {elapsed:6.2f} s ({rate:6.0f} cases/s, "
             f"{len(art)} artifact files)"
@@ -216,12 +196,9 @@ def test_5k_artifact_identity_across_policies(once, tmp_path):
         ),
     )
     assert len(serial_art) == IDENTITY_CASES + 2  # perflogs+journal+trace
-    for policy in ("async", "procs"):
-        rate, elapsed, summary, artifacts = runs[policy]
-        assert summary == serial_summary
-        assert artifacts == serial_art, (
-            f"{policy} artifacts diverge from serial"
-        )
+    _, _, async_summary, async_art = runs["async"]
+    assert async_summary == serial_summary
+    assert async_art == serial_art, "async artifacts diverge from serial"
     _update_baseline(
         large_campaign_smoke_cases=IDENTITY_CASES,
         large_campaign_smoke_serial_seconds=round(serial_s, 2),

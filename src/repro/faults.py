@@ -80,7 +80,7 @@ import fnmatch
 import hashlib
 import threading
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "FAULT_KINDS",
@@ -228,28 +228,6 @@ class FaultClock:
     def attempts(self, key: Tuple[str, ...]) -> int:
         with self._lock:
             return self._attempts.get(key, 0)
-
-    def attempts_for_target(self, target: str) -> Dict[Tuple[str, ...], int]:
-        """Every site counter whose target is *target* (a copy).
-
-        The process-pool policy ships these back with a finished case so
-        the campaign-wide clock stays authoritative: injection-site keys
-        are ``(kind, target)`` and pipeline/scheduler targets are unique
-        per case, so per-case deltas merge without interference.
-        """
-        with self._lock:
-            return {
-                key: count
-                for key, count in self._attempts.items()
-                if len(key) > 1 and key[1] == target
-            }
-
-    def merge_attempts(self, attempts: Dict[Tuple[str, ...], int]) -> None:
-        """Max-merge site counters observed elsewhere (worker processes)."""
-        with self._lock:
-            for key, count in attempts.items():
-                if count > self._attempts.get(key, 0):
-                    self._attempts[key] = count
 
     def reset(self) -> None:
         with self._lock:
@@ -452,42 +430,6 @@ class FaultPlan:
                 self.log.append(fault)
             return fault
         return None
-
-    # -- cross-process accounting --------------------------------------------
-    def delta_for_target(self, target: str) -> Dict[str, Any]:
-        """The per-case state a worker process ships back with a result.
-
-        Contains the site counters and fired faults whose target is
-        *target*; :meth:`absorb` folds them into the campaign-wide plan
-        so a later in-process attempt for the same target (a speculative
-        duplicate) sees exactly the state a serial campaign would.
-        """
-        with self._lock:
-            faults = [f for f in self.log if f.target == target]
-        return {
-            "attempts": self.clock.attempts_for_target(target),
-            "faults": faults,
-        }
-
-    def absorb(self, delta: Dict[str, Any]) -> None:
-        """Merge a worker's per-case delta (idempotent).
-
-        Counters max-merge; fired faults are deduplicated by their
-        ``(kind, target, attempt)`` identity, so absorbing the same
-        delta twice -- or a delta from a worker that already held part
-        of the history -- never double-counts.
-        """
-        self.clock.merge_attempts(delta.get("attempts") or {})
-        new_faults = delta.get("faults") or []
-        if not new_faults:
-            return
-        with self._lock:
-            seen = {(f.kind, f.target, f.attempt) for f in self.log}
-            for fault in new_faults:
-                key = (fault.kind, fault.target, fault.attempt)
-                if key not in seen:
-                    seen.add(key)
-                    self.log.append(fault)
 
     # -- accounting ----------------------------------------------------------
     @property

@@ -33,6 +33,7 @@ from repro.fleet.queue import CampaignQueue
 from repro.fleet.service import CampaignSpec
 from repro.fleet.supervisor import FleetSupervisor
 from repro.fleet.timeline import ResultsTimeline
+from repro.runner.executor import POLICIES
 
 __all__ = ["main", "build_parser"]
 
@@ -72,9 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("-J", "--job-option", action="append", default=[])
     submit.add_argument("--environ", action="append", default=[])
     submit.add_argument("--perflog-dir", default="perflogs")
-    submit.add_argument("--policy",
-                        choices=["serial", "async", "procs"],
-                        default="serial")
+    submit.add_argument("--policy", choices=POLICIES, default="serial")
     submit.add_argument("-j", "--max-workers", type=int, default=4)
     submit.add_argument("--max-retries", type=int, default=2)
     submit.add_argument("--max-failures", type=int, default=None)

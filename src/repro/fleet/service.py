@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from repro.runner.config import ConfigError, SiteConfig, default_site_config
-from repro.runner.executor import Executor, RunReport
+from repro.runner.executor import POLICIES, Executor, RunReport
 from repro.runner.parallel import order_by_dependencies
 from repro.runner.resilience import RetryPolicy
 
@@ -194,7 +194,7 @@ class CampaignService:
         system = self._resolve_system(spec.system, site)
         setvars, spec_override = self._parse_variables(spec)
         job_opts = _parse_job_options(spec.job_options)
-        self._validate_numeric(spec, resume)
+        self._validate_options(spec, resume)
         warnings: List[str] = []
         result_store = self._probe_result_store(spec, warnings)
         faults = self._parse_faults(spec)
@@ -225,6 +225,10 @@ class CampaignService:
             raise CampaignConfigError(str(exc)) from exc
         if not expanded:
             raise CampaignConfigError("no tests match the selection")
+        try:
+            ordered = order_by_dependencies(expanded)
+        except ValueError as exc:
+            raise CampaignConfigError(str(exc)) from exc
 
         run_options: Dict[str, Any] = {
             "policy": spec.policy,
@@ -248,7 +252,7 @@ class CampaignService:
         return PreparedCampaign(
             spec=spec,
             executor=executor,
-            cases=order_by_dependencies(expanded),
+            cases=ordered,
             run_options=run_options,
             system=system,
             warnings=warnings,
@@ -313,7 +317,14 @@ class CampaignService:
         setvars.update(spack_vars)
         return setvars, spec_override
 
-    def _validate_numeric(self, spec: CampaignSpec, resume: bool) -> None:
+    def _validate_options(self, spec: CampaignSpec, resume: bool) -> None:
+        if spec.policy not in POLICIES:
+            # a hand-written spec or an old queue record: fail here,
+            # not mid-run inside run_cases
+            raise CampaignConfigError(
+                f"unknown execution policy {spec.policy!r}; known: "
+                f"{', '.join(POLICIES)}"
+            )
         if spec.max_workers < 1:
             raise CampaignConfigError("-j/--max-workers must be >= 1")
         if spec.max_retries < 0:

@@ -8,7 +8,7 @@ windowed aggregates *while campaigns run*:
 
 - per-system throughput (cases/s over a sliding window of fixed-width
   buckets on the **simulated clock** -- dashboards are therefore
-  byte-reproducible across serial/async/procs policies),
+  byte-reproducible across serial/async policies),
 - queue-wait / job-run / whole-case percentiles from the same
   fixed-bucket histograms the metrics registry uses,
 - retry / fault / degraded rates and result-store hit rates folded in

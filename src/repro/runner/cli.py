@@ -26,6 +26,7 @@ import sys
 from typing import List, Optional
 
 from repro.runner.benchmark import REGISTRY
+from repro.runner.executor import POLICIES
 
 __all__ = ["main", "build_parser", "load_suite", "spec_from_args"]
 
@@ -57,8 +58,10 @@ def load_suite(name: str) -> List[type]:
         )
         spec = importlib.util.spec_from_file_location(mod_name, name)
         module = importlib.util.module_from_spec(spec)
-        # register before exec so --policy=procs workers (forked later,
-        # inheriting sys.modules) can resolve the classes by reference
+        # register before exec: inspect.getsource resolves a class's file
+        # through sys.modules[cls.__module__], and without it the result
+        # store's source key falls back to a placeholder -- editing the
+        # sweep file would then stop invalidating --result-store entries
         sys.modules[mod_name] = module
         try:
             spec.loader.exec_module(module)
@@ -126,17 +129,15 @@ def build_parser() -> argparse.ArgumentParser:
                         help="programming environment(s) to use")
     parser.add_argument("--dry-run", action="store_true",
                         help="concretize and render job scripts, run nothing")
-    parser.add_argument("--policy", choices=["serial", "async", "procs"],
+    parser.add_argument("--policy", choices=POLICIES,
                         default="serial",
                         help="execution policy: 'serial' (one case at a "
-                             "time), 'async' (dependency wavefronts on a "
-                             "thread pool) or 'procs' (wavefronts on a "
-                             "process pool, for CPU-bound non-Spack "
-                             "campaigns); all deterministic with "
-                             "serial-identical output)")
+                             "time) or 'async' (dependency wavefronts on a "
+                             "thread pool); both deterministic with "
+                             "serial-identical output")
     parser.add_argument("-j", "--max-workers", type=int, default=4,
                         metavar="N",
-                        help="worker pool size for --policy=async/procs "
+                        help="thread pool size for --policy=async "
                              "(default: 4)")
     # ---- resilience (DESIGN.md section 6) -------------------------------
     parser.add_argument("--max-retries", type=int, default=2, metavar="N",
@@ -385,8 +386,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         else:
             report = run_campaign()
     except ValueError as exc:
-        # e.g. a campaign --policy=procs cannot carry (Spack builds,
-        # sicknode faults, --drain-after)
+        # a run option run_cases rejects that prepare() did not catch:
+        # a clean error line, not a traceback
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(report.summary(), end="")

@@ -6,16 +6,14 @@ through the pipeline, write perflogs, and produce the run summary (the
 ``[ PASSED ]`` / ``[ FAILED ]`` lines and the ``--performance-report``
 table).
 
-Three execution policies are provided (DESIGN.md section 4):
+Two execution policies are provided (DESIGN.md section 4), both one
+in-process path -- :func:`~repro.runner.parallel.run_waves` -- that
+differ only in their worker count:
 
 * ``serial`` -- one case at a time, in topological dependency order;
-* ``async`` -- dependency wavefronts on a worker pool
-  (:mod:`repro.runner.parallel`), with results, reports, and perflogs in
-  the exact serial order (deterministic, bit-identical output);
-* ``procs`` -- the same wavefronts, but each case's pipeline simulation
-  runs in a worker *process* (:mod:`repro.runner.procs`) while all
-  campaign state and I/O stay in the parent, sidestepping the GIL for
-  CPU-bound campaigns with the same bit-identical output.
+* ``async`` -- dependency wavefronts on a thread pool of ``workers``
+  threads, with results, reports, and perflogs in the exact serial
+  order (deterministic, bit-identical output).
 
 Either way one :class:`~repro.pkgmgr.memo.ConcretizationCache` and one
 :class:`~repro.pkgmgr.installer.Installer` are shared across the whole
@@ -61,7 +59,6 @@ from repro.runner.parallel import (
 )
 from repro.runner.perflog import PerflogHandler
 from repro.runner.pipeline import CaseResult, TestCase, run_case
-from repro.runner.procs import ProcsPool, procs_unsupported
 from repro.runner.resilience import (
     COMPLETED_STATUSES,
     CampaignAborted,
@@ -88,7 +85,7 @@ from repro.runner.watchdog import Watchdog, WatchdogSpec, as_watchdog
 __all__ = ["Executor", "RunReport", "POLICIES"]
 
 #: the execution policies run_cases accepts
-POLICIES = ("serial", "async", "procs")
+POLICIES = ("serial", "async")
 
 
 @dataclass
@@ -418,9 +415,7 @@ class Executor:
 
         ``policy='serial'`` processes the topological order one case at a
         time; ``policy='async'`` runs dependency wavefronts on ``workers``
-        threads; ``policy='procs'`` runs them on ``workers`` processes
-        (non-Spack campaigns only -- see :mod:`repro.runner.procs`).
-        All produce results (and perflogs) in the identical,
+        threads.  Both produce results (and perflogs) in the identical,
         deterministic serial order.
 
         ``journal_batch > 1`` group-commits journal appends: records for
@@ -531,7 +526,7 @@ class Executor:
         if journal_batch < 1:
             raise ValueError(f"journal_batch must be >= 1, got {journal_batch}")
         ordered = self._order_by_dependencies(cases)
-        effective_workers = workers if policy in ("async", "procs") else 1
+        effective_workers = workers if policy == "async" else 1
 
         retry_policy = retry or RetryPolicy()
         clock = faults.clock if faults is not None else FaultClock()
@@ -622,27 +617,9 @@ class Executor:
         #: a heavy storm still converges (0.34^16 ~ 3e-8), while strict
         #: keeps the historical 3 tries and then fail-stops
         flush_tries = 3 if durpolicy.strict else 16
-        procs_pool: Optional[ProcsPool] = None
-        if policy == "procs":
-            reason = procs_unsupported(faults=faults, health=health,
-                                       cases=ordered)
-            if reason is not None:
-                raise ValueError(f"--policy=procs: {reason}")
-            # eager spawn: workers fork here, before any wavefront thread
-            # exists, and live for the whole campaign
-            procs_pool = ProcsPool(
-                effective_workers,
-                faults=faults,
-                watchdog_spec=(
-                    watchdog.spec if watchdog is not None else None
-                ),
-                retry=retry_policy,
-                trace=tracer is not None,
-                trace_wall=tracer.wall if tracer is not None else False,
-            )
 
         def precheck(case: TestCase) -> Optional[CaseResult]:
-            """Resume replay / quarantine short-circuit (parent-side)."""
+            """Resume replay / quarantine / result-store short-circuit."""
             fingerprint = case_fingerprint(case)
             record = completed.get(fingerprint)
             if record is not None and record.get("status") in COMPLETED_STATUSES:
@@ -709,25 +686,6 @@ class Executor:
                 health=health,
                 trace=recorder,
             )
-
-        def procs_runner(case: TestCase) -> CaseResult:
-            pre = precheck(case)
-            if pre is not None:
-                return pre
-            result = procs_pool.run(case)
-            # fold the worker's per-case fault/watchdog state into the
-            # campaign-wide objects *before* this result is consumed, so
-            # a speculative duplicate (run in-process) and the final
-            # report see exactly the state a serial campaign would
-            if faults is not None:
-                delta = getattr(result, "_fault_delta", None)
-                if delta is not None:
-                    faults.absorb(delta)
-            if watchdog is not None:
-                wdelta = getattr(result, "_watchdog_delta", None)
-                if wdelta is not None:
-                    watchdog.absorb(wdelta)
-            return result
 
         collected: List[CaseResult] = []
         # journal group-commit buffer (journal_batch > 1): records are
@@ -877,13 +835,7 @@ class Executor:
                 if recorder is not None and bundle is not None:
                     trace_doc = dict(bundle)
                     trace_doc["end_time"] = recorder.end_time
-            # keys were precomputed per case object, but a procs result
-            # carries a pickle round-tripped *copy* of its case -- same
-            # content, different identity -- so recompute on a miss (the
-            # address is pure content, both spellings agree)
-            key = store_keys.get(id(result.case))
-            if key is None:
-                key = store.key_for(result.case, config_key)
+            key = store_keys[id(result.case)]
             try:
                 store.put(
                     key,
@@ -1034,21 +986,16 @@ class Executor:
         try:
             results: Sequence[CaseResult] = run_waves(
                 ordered,
-                procs_runner if procs_pool is not None else case_runner,
+                case_runner,
                 workers=effective_workers,
                 on_result=on_result,
                 speculation=speculation,
                 on_wave=on_wave if tracer is not None else None,
-                duplicate_runner=(
-                    case_runner if procs_pool is not None else None
-                ),
             )
         except CampaignAborted as exc:
             aborted = str(exc)
             results = collected  # everything finished before the trip
         finally:
-            if procs_pool is not None:
-                procs_pool.close()
             try:
                 if journal is not None:
                     flush_journal()  # group-commit the batched tail first

@@ -1,7 +1,8 @@
 """The asynchronous, dependency-aware execution policy.
 
 DESIGN.md advertises "serial & async execution policies"; this module is
-the async one.  A benchmark campaign (the paper's Figure 1 workflow:
+the one execution path behind both (serial is async with one worker).
+A benchmark campaign (the paper's Figure 1 workflow:
 ~10 programming models x 7 platforms x N environments) consists of
 mostly-independent :class:`~repro.runner.pipeline.TestCase` objects --
 only ReFrame-style ``depends_on_tests`` edges order them.  The engine
@@ -97,7 +98,11 @@ def order_by_dependencies(cases: Sequence[TestCase]) -> List[TestCase]:
         order = list(nx.topological_sort(graph))
     except nx.NetworkXUnfeasible:
         cycle = nx.find_cycle(graph)
-        raise ValueError(f"test dependency cycle: {cycle}") from None
+        path = [cases[u].display_name for u, _ in cycle]
+        path.append(cases[cycle[0][0]].display_name)
+        raise ValueError(
+            f"test dependency cycle: {' -> '.join(path)}"
+        ) from None
     return [cases[i] for i in order]
 
 
@@ -264,7 +269,6 @@ def run_waves(
     on_result: Optional[Callable[[CaseResult], None]] = None,
     speculation: Optional[SpeculationPolicy] = None,
     on_wave: Optional[Callable[[int, int], None]] = None,
-    duplicate_runner: Optional[Callable[[TestCase], CaseResult]] = None,
 ) -> List[CaseResult]:
     """Execute a topologically-ordered campaign wave by wave.
 
@@ -298,13 +302,6 @@ def run_waves(
     Observability: ``on_wave(index, size)`` fires once per wavefront,
     before any of its cases is dispatched, in deterministic wave order
     (the tracer's campaign track marks wave boundaries with it).
-
-    ``duplicate_runner``, when given, runs speculative duplicates in
-    place of ``case_runner`` -- the process-pool policy routes original
-    attempts to worker processes but duplicates through an in-process
-    runner that sees the campaign-wide fault/watchdog state (so a
-    duplicate observes exactly the attempt history a serial campaign's
-    would).  Duplicates run in the consumption loop either way.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -312,39 +309,25 @@ def run_waves(
     finished: Dict[FinishedKey, CaseResult] = {}
     dep_failed: set = set()
 
-    def guarded(i: int) -> CaseResult:
-        case = ordered[i]
+    def guarded(case: TestCase) -> CaseResult:
         try:
             return case_runner(case)
         except Exception as exc:  # CampaignAborted passes through
             return infra_failure(case, exc)
-
-    dup_runner = duplicate_runner or case_runner
-
-    def guarded_case(i: int) -> Callable[[TestCase], CaseResult]:
-        """The guarded runner re-bound for a speculative duplicate."""
-
-        def run_duplicate(_case: TestCase) -> CaseResult:
-            try:
-                return dup_runner(ordered[i])
-            except Exception as exc:  # CampaignAborted passes through
-                return infra_failure(ordered[i], exc)
-
-        return run_duplicate
 
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         for wave_index, wave in enumerate(dependency_waves(ordered)):
             if on_wave is not None:
                 on_wave(wave_index, len(wave))
-            runnable: List[int] = []
+            runnable: List[TestCase] = []
             for i in wave:
                 failure = resolve_dependencies(ordered[i], finished)
                 if failure is not None:
                     results[i] = failure
                     dep_failed.add(i)
                 else:
-                    runnable.append(i)
+                    runnable.append(ordered[i])
             if pool is not None and len(runnable) > 1:
                 result_iter = pool.map(guarded, runnable)
             else:
@@ -367,7 +350,7 @@ def run_waves(
                         result = _speculate(
                             ordered[i],
                             result,  # type: ignore[arg-type]
-                            guarded_case(i),
+                            guarded,
                             speculation,
                         )
                     results[i] = result

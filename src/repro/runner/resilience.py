@@ -447,7 +447,7 @@ def run_config_fingerprint(
     Deliberately *excluded*: execution policy, worker count, journal /
     trace / perflog batching.  Those choose *how* the campaign runs, not
     what its artifacts contain -- the byte-identity contract across
-    serial/async/procs is exactly why they must not invalidate.
+    serial/async is exactly why they must not invalidate.
     """
     doc: Dict[str, Any] = {
         "retry": (

@@ -251,20 +251,6 @@ class Watchdog:
             if entry is not None:
                 scheduler.events.cancel(entry)
 
-    def absorb(self, delta: Dict[str, Any]) -> None:
-        """Merge per-case accounting from a worker-process watchdog.
-
-        The process-pool policy runs each case against a private
-        watchdog in the worker (the campaign instance cannot be shared
-        across processes); the worker ships the accounting back with the
-        result and the executor folds it in here, in the deterministic
-        consumption order.
-        """
-        with self._lock:
-            self.hung_jobs.extend(delta.get("hung_jobs", ()))
-            self.hung_builds.extend(delta.get("hung_builds", ()))
-            self.heartbeats.extend(delta.get("heartbeats", ()))
-
     # -- pipeline side -------------------------------------------------------
     def check_build(self, target: str, build_seconds: float) -> Optional[str]:
         """Build-stage budget: returns the violation message, or None.

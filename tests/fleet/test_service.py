@@ -74,6 +74,16 @@ def test_prepare_validates_with_cli_error_messages(tmp_path):
         service.prepare(CampaignSpec(suites=[]))
 
 
+def test_prepare_rejects_unknown_policy(tmp_path):
+    # e.g. a queue record written when a process-pool policy existed
+    doc = spec(tmp_path).to_doc()
+    doc["policy"] = "procs"
+    with pytest.raises(CampaignConfigError) as err:
+        CampaignService().prepare(CampaignSpec.from_doc(doc))
+    assert "'procs'" in str(err.value)
+    assert "serial, async" in str(err.value)
+
+
 def test_prepare_then_run_matches_one_shot(tmp_path):
     service = CampaignService()
     prepared = service.prepare(spec(tmp_path, tag="a"))

@@ -5,8 +5,8 @@ The storage-resilience tentpole's headline properties:
 * Under ``--durability degrade``, a seeded storm of all five I/O fault
   kinds (``enospc``, ``eio``, ``torn``, ``bitrot``, ``fsync-lie``) at
   >=5% per artifact operation completes the campaign and produces
-  perflogs *byte-identical* to a fault-free run -- on every execution
-  policy.  Accelerator artifacts (result store, trace, ingest cache)
+  perflogs *byte-identical* to a fault-free run -- on both execution
+  policies.  Accelerator artifacts (result store, trace, ingest cache)
   may degrade away; the primary record may not.
 * Under ``--durability strict`` the same storm fail-stops
   deterministically, naming the artifact that could not be persisted.
@@ -42,7 +42,7 @@ STORM = "enospc:0.08,eio:0.08,torn:0.08,bitrot:0.08,fsync-lie:0.08"
 
 
 class IoChaosBench(RegressionTest):
-    """Six deterministic cases; module-level so procs workers unpickle."""
+    """Six deterministic cases."""
 
     size = parameter([1, 2, 3, 4, 5, 6])
 
@@ -122,17 +122,6 @@ def test_storm_converges_to_clean_perflogs(tmp_path_factory, seed):
         assert storm_outcome == clean_outcome
         assert storm_logs == clean_logs  # byte-identical perflogs
     assert clean_report.degraded is None
-
-
-def test_storm_converges_on_procs_policy(tmp_path):
-    clean_outcome, _, clean_logs = campaign(tmp_path, "clean")
-    storm_outcome, storm_report, storm_logs = campaign(
-        tmp_path, "storm-procs", spec=STORM, seed=11, policy="procs",
-        workers=4, durability="degrade", trace=True, store=True,
-    )
-    assert storm_report.success
-    assert storm_outcome == clean_outcome
-    assert storm_logs == clean_logs
 
 
 def test_strict_mode_aborts_deterministically(tmp_path):

@@ -6,7 +6,7 @@ The live tentpole's contract, as tests:
   that reconcile **exactly** with the post-hoc journal counts and the
   end-of-run metrics snapshot -- live is not an estimate;
 * ``repro-top --replay`` over the finished trace renders a dashboard
-  byte-identical across serial / async / procs policies (the trace is
+  byte-identical across serial / async policies (the trace is
   byte-identical, so everything derived from it must be too);
 * replaying the trace reconstructs the same case/latency/system state
   the live sink accumulated while the campaign ran;
@@ -36,7 +36,7 @@ RETRY = RetryPolicy(max_attempts=6, jitter=0.0)
 
 
 class LiveBench(RegressionTest):
-    """Six deterministic cases; module-level so procs workers unpickle."""
+    """Six deterministic cases."""
 
     size = parameter([1, 2, 3, 4, 5, 6])
 
@@ -119,12 +119,12 @@ class TestLiveReconciliation:
 class TestReplayDashboardDeterminism:
     def test_byte_identical_across_policies(self, tmp_path, capsys):
         renders = {}
-        for policy, workers in (("serial", 1), ("async", 4), ("procs", 2)):
+        for policy, workers in (("serial", 1), ("async", 4)):
             _, trace, _ = campaign(tmp_path, policy, policy=policy,
                                    workers=workers, live=False)
             assert top_main(["--replay", trace]) == 0
             renders[policy] = capsys.readouterr().out
-        assert renders["serial"] == renders["async"] == renders["procs"]
+        assert renders["serial"] == renders["async"]
 
     def test_replay_json_is_machine_readable(self, tmp_path, capsys):
         _, trace, _ = campaign(tmp_path, "json", live=False)

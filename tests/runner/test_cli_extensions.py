@@ -156,7 +156,7 @@ class TestLineChart:
 
 
 class TestScalingFlags:
-    """repro-bench --site / --policy=procs / --journal-batch / --profile."""
+    """repro-bench --site / --journal-batch / --profile."""
 
     FLEET_YAML = (
         "systems:\n"
@@ -188,16 +188,6 @@ class TestScalingFlags:
         rc = self._run(tmp_path, "--site", str(tmp_path / "nope.yaml"))
         assert rc == 1
         assert "--site" in capsys.readouterr().err
-
-    def test_procs_rejects_spack_suites_cleanly(self, capsys, tmp_path):
-        # every built-in suite is Spack-managed, which --policy=procs
-        # refuses (per-worker install databases would break determinism);
-        # the CLI must turn that into a clean error, not a traceback
-        rc = self._run(tmp_path, "--policy=procs", "-j", "2")
-        err = capsys.readouterr().err
-        assert rc == 1
-        assert "--policy=procs" in err
-        assert "async" in err
 
     def test_journal_batch_plumbs_through(self, capsys, tmp_path):
         journal = tmp_path / "j.jsonl"
@@ -251,16 +241,36 @@ class FleetSweep(RegressionTest):
         return {"value": (v, "MB/s")}
 '''
 
-    def test_fleet_walkthrough_with_procs(self, capsys, tmp_path):
+    CYCLE = '''
+from repro.runner.benchmark import RegressionTest, rfm_test
+
+
+@rfm_test
+class CycleLeft(RegressionTest):
+    depends_on_tests = ("CycleRight",)
+
+    def program(self, ctx):
+        return "x\\n", 1.0
+
+
+@rfm_test
+class CycleRight(RegressionTest):
+    depends_on_tests = ("CycleLeft",)
+
+    def program(self, ctx):
+        return "x\\n", 1.0
+'''
+
+    def test_fleet_walkthrough_with_async(self, capsys, tmp_path):
         # the README walkthrough end to end: custom sweep file, synthetic
-        # fleet from a --site YAML, process-pool policy, batched journal
+        # fleet from a --site YAML, thread-pool policy, batched journal
         sweep = tmp_path / "fleet_sweep.py"
         sweep.write_text(self.SWEEP)
         site = tmp_path / "fleet.yaml"
         site.write_text(TestScalingFlags.FLEET_YAML)
         rc = bench_main([
             "-c", str(sweep), "-r", "--system", "fleet",
-            "--site", str(site), "--policy=procs", "-j", "2",
+            "--site", str(site), "--policy=async", "-j", "2",
             "--journal", str(tmp_path / "j.jsonl"), "--journal-batch", "8",
             "--perflog-dir", str(tmp_path / "pl"),
         ])
@@ -282,3 +292,33 @@ class FleetSweep(RegressionTest):
         rc = bench_main(["-c", str(bad), "-r", "--system", "archer2"])
         assert rc == 1
         assert "SyntaxError" in capsys.readouterr().err
+
+    def test_dependency_cycle_errors_cleanly(self, capsys, tmp_path):
+        cyc = tmp_path / "cyc.py"
+        cyc.write_text(self.CYCLE)
+        rc = bench_main(["-c", str(cyc), "-r", "--system", "archer2"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: test dependency cycle: ")
+        # the cycle is named by case, not by list index
+        assert "CycleLeft @archer2" in err and "CycleRight @archer2" in err
+        assert "(0, 1)" not in err
+
+    def test_sweep_classes_hash_from_their_source(self, tmp_path):
+        # load_suite registers the sweep module in sys.modules, which is
+        # what lets inspect.getsource find the class: its result-store
+        # source key then follows the file's text, so an edit invalidates
+        from repro.runner.cli import load_suite
+        from repro.runner.resilience import benchmark_source_hash
+
+        sweep = tmp_path / "src_sweep.py"
+        sweep.write_text(self.SWEEP)
+        [before] = load_suite(str(sweep))
+        before_hash = benchmark_source_hash(before)
+        # an edit to a method body: no data attribute changes, so only
+        # the source text can tell the two versions apart
+        sweep.write_text(
+            self.SWEEP.replace("p {self.point}", "point {self.point}")
+        )
+        [after] = load_suite(str(sweep))
+        assert benchmark_source_hash(after) != before_hash

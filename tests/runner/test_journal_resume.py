@@ -268,6 +268,26 @@ class TestPerflogDurability:
         assert journaled <= on_disk
         assert len(journaled) == 3
 
+    def test_journal_batching_writes_identical_bytes(self, tmp_path):
+        """Group commit changes fsync count, never bytes -- on either
+        policy, with fault-driven retries in the records."""
+        from repro.faults import FaultPlan
+
+        def run(tag, policy="serial", workers=1, batch=1):
+            ex, prefix = make_executor(tmp_path, tag)
+            path = str(tmp_path / f"j-{tag}.jsonl")
+            ex.run_cases(ex.expand_cases([Member], "archer2"),
+                         policy=policy, workers=workers, journal=path,
+                         journal_batch=batch,
+                         faults=FaultPlan.parse("build:0.5", seed=7))
+            with open(path, "rb") as fh:
+                return fh.read(), read_logs(prefix)
+
+        unit = run("unit")
+        assert b'"attempts": 2' in unit[0]  # the faults did bite
+        assert run("batch", batch=3) == unit
+        assert run("async", policy="async", workers=4, batch=3) == unit
+
 
 class TestCompaction:
     """Satellite: journal compaction keeps only the latest state."""
