@@ -13,10 +13,11 @@ than just a dying process:
   with a ``cs`` field -- a CRC32 over the canonical (``sort_keys``)
   payload -- so silent corruption (bit rot, a torn batch that happens to
   re-align on a newline) is *detected* at read time instead of being
-  parsed into plausible garbage.  :func:`verify_line` strips the field
-  on the way back out, so sealing is invisible to every consumer of
-  :func:`read_jsonl`; records written before sealing existed (no ``cs``)
-  remain readable.
+  parsed into plausible garbage.  :func:`verify_line` checks the CRC
+  over the line's own bytes (falling back to decode + re-encode for
+  text in any other layout) and strips the field on the way back out,
+  so sealing is invisible to every consumer of :func:`read_jsonl`;
+  records written before sealing existed (no ``cs``) remain readable.
 * **Generalized tail heal.**  :func:`read_jsonl` now drops the maximal
   *invalid suffix* -- any run of undecodable or checksum-failing lines
   at the end of the file -- not just a single unterminated fragment.
@@ -75,19 +76,53 @@ def seal_line(record: Dict[str, Any]) -> str:
     return '{"cs":"%s",%s' % (cs, payload[1:])
 
 
+def _seal_member(line: str) -> Optional[str]:
+    """The first member's name when *line* is in :func:`seal_line`'s
+    byte layout and its CRC matches the bytes that follow it.
+
+    A sealed line is ``{"cs":"XXXXXXXX",`` plus the canonical payload
+    minus its ``{``, so the check needs no decode and no re-encode.
+    ``None`` means "not provably intact as stored": text in another
+    layout (an older writer, a hand re-serialization) or damaged bytes,
+    both of which :func:`verify_line` settles by re-encoding.
+    """
+    if line[:2] != '{"' or line[4:7] != '":"':
+        return None
+    if line[15:17] == '",':
+        payload = "{" + line[17:]
+    elif line[15:] == '"}':
+        payload = "{}"
+    else:
+        return None
+    if _crc(payload) != line[7:15]:
+        return None
+    return line[2:4]
+
+
 def verify_line(line: str) -> Optional[Dict[str, Any]]:
     """Decode + verify one JSONL line; ``None`` when damaged.
 
-    A record carrying ``cs`` must round-trip to the checksummed payload;
-    a record without one (written before sealing existed) is accepted
-    as-is.  The returned dict never contains the ``cs`` field.
+    A line in :func:`seal_line`'s exact layout is verified by a CRC over
+    its own bytes.  Any other record carrying ``cs`` must round-trip to
+    the checksummed canonical payload; a record without one (written
+    before sealing existed) is accepted as-is.  The returned dict never
+    contains the ``cs`` field.
     """
+    member = _seal_member(line)
     try:
         record = json.loads(line)
     except json.JSONDecodeError:
         return None
     if not isinstance(record, dict):
         return None
+    if member is not None:
+        # the stored bytes are intact, so only the seal's own member
+        # name can be damaged -- which would pass the record off as an
+        # unsealed one carrying an extra field
+        if member != "cs":
+            return None
+        del record["cs"]
+        return record
     if "cs" not in record:
         return record
     cs = record.pop("cs")

@@ -41,9 +41,11 @@ import sys
 import zlib
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.obs.jsonl import scan_jsonl, write_jsonl_atomic
+from repro.obs.jsonl import (
+    scan_jsonl, seal_line, verify_line, write_jsonl_atomic,
+)
 from repro.runner.perflog import sums_path, verify_sums
-from repro.runner.results import _verify_entry
+from repro.runner.results import _pack_line, _unpack_line
 
 __all__ = [
     "main", "fsck_jsonl", "fsck_live_status", "fsck_perflog", "fsck_store",
@@ -170,7 +172,7 @@ def fsck_store(root: str, repair: bool = False) -> List[Dict[str, Any]]:
     objects_dir = os.path.join(root, "objects")
     pack_file = os.path.join(root, "pack.jsonl")
     index_file = os.path.join(root, "index.json")
-    survivors: Dict[str, Dict[str, Any]] = {}  # key -> sealed doc
+    survivors: Dict[str, Dict[str, Any]] = {}  # key -> verified entry
     checked = bad = healed = 0
     names = []
     if os.path.isdir(objects_dir):
@@ -182,10 +184,10 @@ def fsck_store(root: str, repair: bool = False) -> List[Dict[str, Any]]:
         checked += 1
         try:
             with open(full, encoding="utf-8") as fh:
-                sealed = json.load(fh)
+                entry = verify_line(fh.read())
         except (OSError, ValueError):
-            sealed = None
-        if sealed is None or _verify_entry(sealed) is None:
+            entry = None
+        if entry is None:
             bad += 1
             if repair:
                 # a damaged object becomes a cache miss, never wrong data
@@ -195,7 +197,7 @@ def fsck_store(root: str, repair: bool = False) -> List[Dict[str, Any]]:
                     pass
                 healed += 1
             continue
-        survivors[name[: -len(".json")]] = sealed
+        survivors[name[: -len(".json")]] = entry
     reports = [_report("store-objects", objects_dir, checked, bad, healed)]
 
     # pack: a sequential replica of the objects; every line must carry a
@@ -209,20 +211,15 @@ def fsck_store(root: str, repair: bool = False) -> List[Dict[str, Any]]:
             pack_lines = []
         for line in pack_lines:
             pack_checked += 1
-            try:
-                doc = json.loads(line)
-                key = str(doc["key"])
-                ok = (_verify_entry(doc["entry"]) is not None
-                      and key in survivors)
-            except (ValueError, KeyError, TypeError):
-                ok = False
-            if not ok:
+            unpacked = _unpack_line(line)
+            if unpacked is None or unpacked[0] not in survivors:
                 pack_bad += 1
         if pack_bad and repair:
+            # the layout put writes, so the healed pack keeps the
+            # raw-CRC fast path
             body = "".join(
-                json.dumps({"key": key, "entry": sealed},
-                           separators=(",", ":")) + "\n"
-                for key, sealed in survivors.items()
+                _pack_line(key, seal_line(entry))
+                for key, entry in survivors.items()
             )
             tmp = pack_file + ".tmp"
             with open(tmp, "w", encoding="utf-8") as fh:
@@ -249,9 +246,9 @@ def fsck_store(root: str, repair: bool = False) -> List[Dict[str, Any]]:
             if repair:
                 # rebuild from the surviving entries' own fingerprints
                 index = {
-                    str(sealed["fingerprint"]): key
-                    for key, sealed in survivors.items()
-                    if sealed.get("fingerprint")
+                    str(entry["fingerprint"]): key
+                    for key, entry in survivors.items()
+                    if entry.get("fingerprint")
                 }
                 idx_healed = 1
         else:

@@ -37,6 +37,7 @@ import inspect
 import json
 import os
 import threading
+import weakref
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Union
 
@@ -383,8 +384,14 @@ def case_fingerprint(case: Any) -> str:
 
 
 #: source-hash memo: a campaign hashes each benchmark class once, not
-#: once per case (the sweep benches expand thousands of cases per class)
-_SOURCE_HASH_CACHE: Dict[type, str] = {}
+#: once per case (the sweep benches expand thousands of cases per class).
+#: Weak-keyed so a hashed class can still be garbage collected.
+_SOURCE_HASH_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+#: per-class source text: ``inspect.getsource`` re-parses a class's whole
+#: module on every call, and a framework base (``RegressionTest``) sits
+#: in the MRO of every leaf class hashed
+_SOURCE_TEXT_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 #: JSON-able class attributes folded into the source hash.  Factory-made
 #: classes (the sweep benches build them with ``type()``/``setattr``)
@@ -411,10 +418,7 @@ def benchmark_source_hash(cls: type) -> str:
     for klass in cls.__mro__:
         if klass is object:
             continue
-        try:
-            parts.append(inspect.getsource(klass))
-        except (OSError, TypeError):
-            parts.append(f"<no-source:{klass.__module__}.{klass.__qualname__}>")
+        parts.append(_class_source(klass))
         for name, value in sorted(vars(klass).items()):
             if name.startswith("__"):
                 continue
@@ -423,6 +427,18 @@ def benchmark_source_hash(cls: type) -> str:
     digest = _sha_text("\x1f".join(parts))
     _SOURCE_HASH_CACHE[cls] = digest
     return digest
+
+
+def _class_source(klass: type) -> str:
+    """*klass*'s source text (or a stable placeholder), read once."""
+    text = _SOURCE_TEXT_CACHE.get(klass)
+    if text is None:
+        try:
+            text = inspect.getsource(klass)
+        except (OSError, TypeError):
+            text = f"<no-source:{klass.__module__}.{klass.__qualname__}>"
+        _SOURCE_TEXT_CACHE[klass] = text
+    return text
 
 
 def _sha_text(text: str) -> str:

@@ -35,9 +35,9 @@ import json
 import os
 import threading
 import time
-import zlib
 from typing import Any, Dict, List, Optional, Tuple, Union
 
+from repro.obs.jsonl import seal_line, verify_line
 from repro.runner.resilience import (
     benchmark_source_hash,
     case_fingerprint,
@@ -58,33 +58,28 @@ __all__ = [
 ENTRY_VERSION = 1
 
 
-def _entry_checksum(entry: Dict[str, Any]) -> str:
-    """CRC32 over the canonical (sort_keys) encoding of *entry*."""
-    payload = json.dumps(entry, sort_keys=True)
-    return f"{zlib.crc32(payload.encode('utf-8')) & 0xFFFFFFFF:08x}"
+def _pack_line(key: str, sealed: str) -> str:
+    """One ``pack.jsonl`` line: the entry's sealed object text, verbatim.
 
-
-def _seal_entry(entry: Dict[str, Any]) -> Dict[str, Any]:
-    """A copy of *entry* carrying its ``cs`` self-verification field."""
-    return {"cs": _entry_checksum(entry), **entry}
-
-
-def _verify_entry(doc: Any) -> Optional[Dict[str, Any]]:
-    """Strip + verify a sealed entry; ``None`` when damaged.
-
-    Entries written before sealing existed (no ``cs``) are accepted
-    as-is; a present-but-mismatched checksum means bit rot that plain
-    JSON parsing would have served as plausible garbage.
+    Splicing the same :func:`~repro.obs.jsonl.seal_line` text the object
+    file holds keeps the line's decoded values ``{"key", "entry"}`` while
+    letting pack load verify the entry by a CRC over its stored bytes.
     """
-    if not isinstance(doc, dict):
+    return '{"key":%s,"entry":%s}\n' % (json.dumps(key), sealed)
+
+
+def _unpack_line(line: str) -> Optional[Tuple[str, Dict[str, Any]]]:
+    """``(key, verified entry)`` from one pack line; ``None`` if damaged."""
+    line = line.rstrip("\n")
+    head, sep = '{"key":"', '","entry":'
+    end = line.find(sep, len(head))
+    if not line.startswith(head) or end < 0 or not line.endswith("}"):
         return None
-    if "cs" not in doc:
-        return doc
-    doc = dict(doc)
-    cs = doc.pop("cs")
-    if _entry_checksum(doc) != cs:
+    key = line[len(head):end]
+    if "\\" in key:  # keys are hex digests: an escape means damage
         return None
-    return doc
+    entry = verify_line(line[end + len(sep):-1])
+    return None if entry is None else (key, entry)
 
 
 class ResultStoreStats:
@@ -366,17 +361,15 @@ class CaseResultStore:
     def _entry_path(self, key: str) -> str:
         return os.path.join(self._objects, f"{key}.json")
 
-    def _write_atomic(self, path: str, doc: Dict[str, Any],
+    def _write_atomic(self, path: str, body: str,
                       label: str = "store") -> None:
         if self._io is not None:
-            # compact separators: entries are read back on every warm
-            # lookup, and parse time scales with the bytes
-            body = json.dumps(doc, separators=(",", ":")).encode("utf-8")
-            self._io.write_atomic(path, body, label, sync=False)
+            self._io.write_atomic(path, body.encode("utf-8"), label,
+                                  sync=False)
             return
         tmp = f"{path}.tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, separators=(",", ":"))
+            fh.write(body)
         os.replace(tmp, path)
 
     # -- identity index (write-behind) ---------------------------------------
@@ -396,41 +389,30 @@ class CaseResultStore:
 
     def _flush_index_locked(self) -> None:
         if self._index is not None and self._index_dirty:
-            self._write_atomic(self._index_file, self._index, label="index")
+            # compact separators: the index is re-read by every campaign
+            body = json.dumps(self._index, separators=(",", ":"))
+            self._write_atomic(self._index_file, body, label="index")
             self._index_dirty = 0
 
     # -- pack (write-behind entry replica) -----------------------------------
     def _load_pack_locked(self) -> Dict[str, Dict[str, Any]]:
         if self._pack is None:
             pack: Dict[str, Dict[str, Any]] = {}
-            lines: List[str] = []
+            lines = 0
             try:
-                with open(self._pack_file, encoding="utf-8") as fh:
-                    lines = fh.read().splitlines()
+                # errors="replace": a rotted byte fails its line's CRC
+                # instead of aborting the whole load
+                with open(self._pack_file, encoding="utf-8",
+                          errors="replace") as fh:
+                    for line in fh:
+                        lines += 1
+                        unpacked = _unpack_line(line)
+                        if unpacked is not None:
+                            pack[unpacked[0]] = unpacked[1]
             except OSError:
                 pass
-            docs: List[Any] = []
-            if lines:
-                try:
-                    # one decoder call for the whole pack (a clean file is
-                    # the common case and this is ~4x faster than a
-                    # per-line loop at campaign scale)
-                    docs = json.loads("[" + ",".join(lines) + "]")
-                except ValueError:
-                    # torn tail / stray line somewhere: fall back to the
-                    # tolerant per-line parse
-                    for line in lines:
-                        try:
-                            docs.append(json.loads(line))
-                        except ValueError:
-                            continue
-            for doc in docs:
-                try:
-                    pack[str(doc["key"])] = doc["entry"]
-                except (KeyError, TypeError):
-                    continue
             self._pack = pack
-            self._pack_lines = len(lines)
+            self._pack_lines = lines
         return self._pack
 
     def _flush_pack_locked(self) -> None:
@@ -462,9 +444,7 @@ class CaseResultStore:
             if os.path.exists(self._entry_path(key))
         }
         body = "".join(
-            json.dumps({"key": key, "entry": entry},
-                       separators=(",", ":")) + "\n"
-            for key, entry in live.items()
+            _pack_line(key, seal_line(entry)) for key, entry in live.items()
         )
         if self._io is not None:
             self._io.write_atomic(self._pack_file, body.encode("utf-8"),
@@ -519,20 +499,12 @@ class CaseResultStore:
                     # is stale, the object files are canonical
                     self._pack.pop(key, None)
                     entry = None
-                if entry is not None and (
-                    not isinstance(entry, dict)
-                    or entry.get("version") != ENTRY_VERSION
-                ):
+                if entry is not None and entry.get("version") != ENTRY_VERSION:
                     entry = None  # skewed replica: fall back to the file
-                if entry is not None:
-                    # self-verification: a rotted pack line falls back to
-                    # the (independently sealed) object file
-                    entry = _verify_entry(entry)
             if entry is None:
                 try:
                     with open(path, encoding="utf-8") as fh:
-                        entry = json.load(fh)
-                    entry = _verify_entry(entry)
+                        entry = verify_line(fh.read())
                     if entry is None:
                         raise ValueError("entry checksum mismatch")
                     if entry.get("version") != ENTRY_VERSION:
@@ -583,18 +555,16 @@ class CaseResultStore:
     def put(self, key: str, entry: Dict[str, Any]) -> None:
         """Persist one entry (atomic), update the index and pack, evict."""
         path = self._entry_path(key)
-        sealed = _seal_entry(entry)
+        sealed = seal_line(entry)
         with self._lock:
             existed = os.path.exists(path)
             self._write_atomic(path, sealed, label="store")
             if not existed:
                 self._count += 1
             self.stats.puts += 1
-            self._pack_pending.append(json.dumps(
-                {"key": key, "entry": sealed}, separators=(",", ":")
-            ) + "\n")
+            self._pack_pending.append(_pack_line(key, sealed))
             if self._pack is not None:
-                self._pack[key] = sealed
+                self._pack[key] = entry
             fingerprint = entry.get("fingerprint")
             if fingerprint:
                 index = self._load_index_locked()

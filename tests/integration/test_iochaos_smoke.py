@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro.faults import FaultPlan
 from repro.iofaults import flip_byte, tear_tail
-from repro.obs.jsonl import read_jsonl
+from repro.obs.jsonl import read_jsonl, verify_line
 from repro.runner import sanity as sn
 from repro.runner.benchmark import RegressionTest
 from repro.runner.executor import Executor
@@ -198,6 +198,19 @@ def test_fsck_heals_all_injected_corruption(tmp_path, capsys):
     assert read_jsonl(trace)
     reopened = CaseResultStore(store_root)
     assert len(reopened) == len(objects) - 1  # rotten object became a miss
+    # the rebuilt pack is byte-equal to what put writes for the surviving
+    # entries, so the healed store keeps pack load's raw-CRC fast path
+    fresh = CaseResultStore(str(tmp_path / "fresh"))
+    with open(os.path.join(store_root, "pack.jsonl"), encoding="utf-8") as fh:
+        healed = fh.read()
+    for line in healed.splitlines():
+        key = json.loads(line)["key"]
+        with open(os.path.join(store_root, "objects", key + ".json"),
+                  encoding="utf-8") as fh:
+            fresh.put(key, verify_line(fh.read()))
+    fresh.flush()
+    with open(str(tmp_path / "fresh" / "pack.jsonl"), encoding="utf-8") as fh:
+        assert healed == fh.read()
 
 
 def test_fsck_provenance_seeding(tmp_path, capsys):

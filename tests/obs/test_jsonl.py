@@ -4,6 +4,8 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.jsonl import (
     JsonlAppender,
@@ -122,6 +124,21 @@ class TestSealing:
         assert verify_line("[1, 2]") is None
         assert verify_line("garbage") is None
 
+    def test_damaged_seal_name_rejected(self):
+        """Renaming ``cs`` must not pass the record off as an unsealed
+        one carrying an extra field."""
+        line = seal_line({"value": 1})
+        assert verify_line(line.replace('"cs"', '"cx"', 1)) is None
+
+    def test_other_layout_verifies_by_reencoding(self):
+        """Text sealed by an older writer (compact, unsorted) still
+        verifies: it falls back to the canonical re-encoding."""
+        doc = json.loads(seal_line({"b": 1, "a": [2.5, None]}))
+        compact = json.dumps(doc, separators=(",", ":"))
+        assert verify_line(compact) == {"b": 1, "a": [2.5, None]}
+        rotten = compact.replace("2.5", "3.5")
+        assert verify_line(rotten) is None
+
     def test_appender_seals_by_default(self, tmp_path):
         path = str(tmp_path / "log.jsonl")
         JsonlAppender(path).append({"i": 0})
@@ -208,3 +225,49 @@ class TestShortWriteRepair:
         with pytest.raises(OSError):
             appender.append_many([{"i": 1}, {"i": 2}])
         assert [r["i"] for r in read_jsonl(path)] == [0]
+
+
+# --------------------------------------------------------------------------
+# the raw-CRC fast path, property-tested
+# --------------------------------------------------------------------------
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=8,
+)
+#: ``cs`` is the seal's own member, never a record field
+RECORDS = st.dictionaries(
+    st.text(max_size=6).filter(lambda key: key != "cs"), JSON_VALUES,
+    max_size=5,
+)
+
+
+class TestFastVerify:
+    @given(RECORDS)
+    def test_round_trip(self, record):
+        assert verify_line(seal_line(record)) == record
+
+    @settings(max_examples=60, deadline=None)
+    @given(RECORDS, st.integers(0, 255))
+    def test_single_byte_substitution_never_yields_another_record(
+        self, record, byte
+    ):
+        data = seal_line(record).encode("utf-8")
+        for i in range(len(data)):
+            if data[i] == byte:
+                continue
+            mutated = data[:i] + bytes([byte]) + data[i + 1:]
+            got = verify_line(mutated.decode("utf-8", "replace"))
+            assert got is None or got == record, (i, mutated)
+
+    @given(RECORDS, st.booleans())
+    def test_reserialized_record_verifies_by_fallback(self, record, flip):
+        doc = json.loads(seal_line(record))
+        if flip:
+            doc = dict(reversed(list(doc.items())))
+        for text in (json.dumps(doc, separators=(",", ":")),
+                     json.dumps(doc, indent=1)):
+            assert verify_line(text) == record

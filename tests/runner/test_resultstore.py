@@ -7,10 +7,14 @@ Key stability across process restarts and dict orderings is
 hypothesis-tested; torn entries and eviction are tolerated, never fatal.
 """
 
+import gc
+import inspect
 import json
 import os
 import subprocess
 import sys
+import weakref
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -200,6 +204,56 @@ def test_source_hash_sees_factory_attrs():
 
     a, b = factory("x"), factory("y")
     assert benchmark_source_hash(a) != benchmark_source_hash(b)
+
+
+class _Golden:
+    """Fixture for the pinned digest below: its only base is ``object``,
+    so framework edits do not move it."""
+
+    rev = "r0"
+    sizes = (1, 2)
+
+    def program(self, ctx):
+        return f"golden {self.rev}\n", 1.0
+
+
+#: benchmark_source_hash(_Golden).  A change here changes every store key
+#: and turns every existing store into misses: update it only on purpose.
+GOLDEN_SOURCE_HASH = (
+    "b5201051cbf3a0c70de9c6e4b6fc21333f6fe47a3cda3b601ddad1d209a6b148"
+)
+
+
+def test_source_hash_golden_digest():
+    assert benchmark_source_hash(_Golden) == GOLDEN_SOURCE_HASH
+
+
+def test_source_hash_cache_lets_classes_die():
+    """The memos are weak-keyed: hashing a class does not keep it alive
+    (a fleet supervisor loads fresh sweep classes for every campaign)."""
+    cls = type("Ephemeral", (Beta,), {"tag": "x"})
+    benchmark_source_hash(cls)
+    assert cls in _SOURCE_HASH_CACHE
+    ref = weakref.ref(cls)
+    del cls
+    gc.collect()
+    assert ref() is None
+    assert all(klass.__name__ != "Ephemeral" for klass in _SOURCE_HASH_CACHE)
+
+
+def test_base_class_source_read_once(monkeypatch):
+    """A shared base is parsed once, not once per leaf class hashed; the
+    leaves' data attributes are still read on every hash."""
+    reads = []
+    real = inspect.getsource
+    monkeypatch.setattr(
+        inspect, "getsource", lambda obj: (reads.append(obj), real(obj))[1]
+    )
+    leaves = [type("Leaf", (Beta,), {"tag": i}) for i in range(3)]
+    digests = {benchmark_source_hash(leaf) for leaf in leaves}
+    assert len(digests) == 3
+    assert reads.count(RegressionTest) <= 1
+    assert reads.count(Beta) <= 1
 
 
 # --------------------------------------------------------------------------
@@ -421,6 +475,93 @@ def test_torn_entry_is_a_miss_not_a_crash(tmp_path):
     # the re-executed cases rewrote their entries: next run is all-warm
     _, third = run(tmp_path, "third", store_dir)
     assert len(third.replayed) == 6
+
+
+def _write_legacy_layout(store_dir):
+    """Rewrite a store in the byte layout of the previous store format:
+    compact ``json.dump`` object files sealed with a ``cs`` CRC over the
+    ``sort_keys`` encoding, plus ``{"key", "entry"}`` pack lines encoded
+    with compact separators."""
+    objects = os.path.join(store_dir, "objects")
+    pack = []
+    for name in sorted(os.listdir(objects)):
+        path = os.path.join(objects, name)
+        with open(path, encoding="utf-8") as fh:
+            entry = json.load(fh)
+        entry.pop("cs")
+        canonical = json.dumps(entry, sort_keys=True).encode("utf-8")
+        sealed = {"cs": f"{zlib.crc32(canonical) & 0xFFFFFFFF:08x}",
+                  **entry}
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(sealed, fh, separators=(",", ":"))
+        pack.append(json.dumps({"key": name[:-len(".json")],
+                                "entry": sealed}, separators=(",", ":")))
+    with open(os.path.join(store_dir, "pack.jsonl"), "w",
+              encoding="utf-8") as fh:
+        fh.write("\n".join(pack) + "\n")
+    return sorted(os.listdir(objects))
+
+
+def test_store_in_previous_layout_still_hits(tmp_path):
+    """A store written by the previous layout is served whole: from its
+    pack, and from its object files alone."""
+    store_dir = str(tmp_path / "store")
+    run(tmp_path, "cold", store_dir)
+    keys = _write_legacy_layout(store_dir)
+    legacy = CaseResultStore(store_dir)
+    with legacy._lock:
+        pack = legacy._load_pack_locked()
+    assert len(pack) == 6  # the legacy pack lines verify
+    for tag in ("warm-pack", "warm-objects"):
+        if tag == "warm-objects":
+            os.unlink(os.path.join(store_dir, "pack.jsonl"))
+        _, warm = run(tmp_path, tag, store_dir)
+        assert warm.success
+        assert len(warm.replayed) == 6
+        assert warm.result_cache["hits"] == 6
+        assert warm.result_cache["corrupted"] == 0
+        assert warm.result_cache["puts"] == 0
+        assert sorted(os.listdir(os.path.join(store_dir, "objects"))) == keys
+        assert (read_tree(str(tmp_path / "perflogs-cold"))
+                == read_tree(str(tmp_path / f"perflogs-{tag}")))
+
+
+def test_pack_line_splices_the_object_bytes(tmp_path):
+    """put writes one sealed text: the object file holds it, and the
+    pack line embeds it verbatim under the same decoded values."""
+    store_dir = str(tmp_path / "store")
+    run(tmp_path, "cold", store_dir)
+    objects = os.path.join(store_dir, "objects")
+    with open(os.path.join(store_dir, "pack.jsonl"), encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    assert len(lines) == 6
+    for line in lines:
+        doc = json.loads(line)
+        with open(os.path.join(objects, doc["key"] + ".json"),
+                  encoding="utf-8") as fh:
+            sealed = fh.read()
+        assert line == '{"key":"%s","entry":%s}' % (doc["key"], sealed)
+        assert json.loads(sealed) == doc["entry"]
+
+
+def test_rotten_pack_line_falls_back_to_the_object(tmp_path):
+    store_dir = str(tmp_path / "store")
+    run(tmp_path, "cold", store_dir)
+    pack = os.path.join(store_dir, "pack.jsonl")
+    with open(pack, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    # bit rot inside a value: still valid JSON, only the CRC can tell
+    assert "--ntasks=1" in lines[0]
+    lines[0] = lines[0].replace("--ntasks=1", "--ntasks=7", 1)
+    with open(pack, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    store = CaseResultStore(store_dir)
+    with store._lock:
+        pack = store._load_pack_locked()
+    assert len(pack) == 5
+    _, warm = run(tmp_path, "warm", store_dir)
+    assert len(warm.replayed) == 6
+    assert warm.result_cache["corrupted"] == 0
 
 
 def test_pack_is_a_redundant_replica(tmp_path):
