@@ -57,21 +57,25 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--nodes", type=int, default=1,
                         help="node budget the campaign occupies while "
                              "leased (default: 1)")
-    # the repro-bench surface a queued spec can carry
-    submit.add_argument("-c", "--checkpath", action="append", default=[],
-                        required=True, help="benchmark suite to load")
+    # the repro-bench surface a queued spec can carry; dests name
+    # CampaignSpec fields, which CampaignSpec.from_args copies
+    submit.add_argument("-c", "--checkpath", dest="suites", action="append",
+                        default=[], required=True,
+                        help="benchmark suite to load")
     submit.add_argument("--system", default=None)
-    submit.add_argument("--site", action="append", default=[],
-                        metavar="YAML")
+    submit.add_argument("--site", dest="site_yaml", action="append",
+                        default=[], metavar="YAML")
     submit.add_argument("-S", "--spack-var", action="append", default=[],
                         metavar="VAR=VAL")
     submit.add_argument("--setvar", action="append", default=[],
                         metavar="VAR=VAL")
     submit.add_argument("-n", "--name", action="append", default=[])
     submit.add_argument("-x", "--exclude", action="append", default=[])
-    submit.add_argument("--tag", action="append", default=[])
-    submit.add_argument("-J", "--job-option", action="append", default=[])
-    submit.add_argument("--environ", action="append", default=[])
+    submit.add_argument("--tag", dest="tags", action="append", default=[])
+    submit.add_argument("-J", "--job-option", dest="job_options",
+                        action="append", default=[])
+    submit.add_argument("--environ", dest="environs", action="append",
+                        default=[])
     submit.add_argument("--perflog-dir", default="perflogs")
     submit.add_argument("--policy", choices=POLICIES, default="serial")
     submit.add_argument("-j", "--max-workers", type=int, default=4)
@@ -149,30 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
-    spec = CampaignSpec(
-        suites=args.checkpath,
-        system=args.system,
-        site_yaml=args.site,
-        setvar=args.setvar,
-        spack_var=args.spack_var,
-        name=args.name,
-        exclude=args.exclude,
-        tags=args.tag,
-        job_options=args.job_option,
-        environs=args.environ,
-        perflog_dir=args.perflog_dir,
-        policy=args.policy,
-        max_workers=args.max_workers,
-        max_retries=args.max_retries,
-        max_failures=args.max_failures,
-        journal=args.journal,
-        journal_batch=args.journal_batch,
-        result_store=args.result_store,
-        inject_faults=args.inject_faults,
-        fault_seed=args.fault_seed,
-        durability=args.durability,
-        watchdog=args.watchdog,
-    )
+    spec = CampaignSpec.from_args(args)
     queue = CampaignQueue(args.queue)
     campaign_id = queue.submit(
         spec.to_doc(),

@@ -11,7 +11,7 @@ attached, so it moves here:
   record);
 * :class:`CampaignService` -- turns a spec into a
   :class:`PreparedCampaign`: a configured :class:`Executor`, the
-  dependency-ordered case list and validated run options;
+  dependency-ordered case list and a validated :class:`RunConfig`;
 * :class:`PreparedCampaign` -- runs the whole campaign or any slice of
   it (``run(cases=..., resume=True)``), which is what lets the
   supervisor multiplex many campaigns over one simulated cluster and
@@ -25,13 +25,14 @@ printed.
 
 from __future__ import annotations
 
+import argparse
 import socket
 import sys
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.runner.config import ConfigError, SiteConfig, default_site_config
-from repro.runner.executor import POLICIES, Executor, RunReport
+from repro.runner.executor import Executor, RunConfig, RunReport
 from repro.runner.parallel import order_by_dependencies
 from repro.runner.resilience import RetryPolicy
 
@@ -102,6 +103,15 @@ class CampaignSpec:
         known = {f for f in cls.__dataclass_fields__}
         return cls(**{k: v for k, v in doc.items() if k in known})
 
+    @classmethod
+    def from_args(cls, args: argparse.Namespace) -> "CampaignSpec":
+        """The spec a parsed CLI namespace describes.
+
+        Every flag whose ``dest`` names a spec field is copied; fields
+        the parser does not define keep their defaults.
+        """
+        return cls.from_doc(vars(args))
+
     def content_id(self) -> str:
         """Content address of the spec -- the longitudinal-timeline key.
 
@@ -135,7 +145,8 @@ class CampaignSpec:
 class PreparedCampaign:
     """A validated, ready-to-run campaign.
 
-    ``cases`` is the dependency-ordered expansion; ``run()`` executes
+    ``cases`` is the dependency-ordered expansion and ``config`` the
+    options it runs under; ``run()`` executes
     all of it, or -- for a supervisor multiplexing several campaigns --
     any contiguous slice of it with ``resume=True`` so completed work
     journals forward.  ``warnings`` collects non-fatal degradations
@@ -146,7 +157,7 @@ class PreparedCampaign:
     spec: CampaignSpec
     executor: Executor
     cases: List[Any]
-    run_options: Dict[str, Any]
+    config: RunConfig
     #: the resolved target, for specs that left ``system`` to detection
     system: Optional[str] = None
     warnings: List[str] = field(default_factory=list)
@@ -157,15 +168,13 @@ class PreparedCampaign:
         resume: bool = False,
         live: Optional[Any] = None,
     ) -> RunReport:
-        options = dict(self.run_options)
-        if resume:
-            options["resume"] = True
-        if live is not None:
+        return self.executor.run_cases(
+            self.cases if cases is None else list(cases),
+            self.config,
+            resume=resume or self.config.resume,
             # a supervisor shares one LiveStatsSink across campaigns;
             # it overrides any per-spec live-status path
-            options["live"] = live
-        return self.executor.run_cases(
-            self.cases if cases is None else list(cases), **options
+            live=self.config.live if live is None else live,
         )
 
 
@@ -194,14 +203,39 @@ class CampaignService:
         system = self._resolve_system(spec.system, site)
         setvars, spec_override = self._parse_variables(spec)
         job_opts = _parse_job_options(spec.job_options)
-        self._validate_options(spec, resume)
+        if spec.max_retries < 0:
+            raise CampaignConfigError("--max-retries must be >= 0")
+        if resume and not spec.journal:
+            raise CampaignConfigError("--resume requires --journal PATH")
         warnings: List[str] = []
         result_store = self._probe_result_store(spec, warnings)
         faults = self._parse_faults(spec)
         watchdog = self._parse_watchdog(spec)
-        retry = RetryPolicy(
-            max_attempts=spec.max_retries + 1, seed=spec.fault_seed
-        )
+        try:
+            # the one place a spec's run flags become a RunConfig
+            config = RunConfig(
+                policy=spec.policy,
+                workers=spec.max_workers,
+                retry=RetryPolicy(
+                    max_attempts=spec.max_retries + 1, seed=spec.fault_seed
+                ),
+                faults=faults,
+                max_failures=spec.max_failures,
+                journal=spec.journal,
+                resume=resume,
+                watchdog=watchdog,
+                speculation=spec.speculate,
+                straggler_factor=spec.straggler_factor,
+                drain_after=spec.drain_after,
+                trace=spec.trace,
+                metrics=spec.metrics,
+                journal_batch=spec.journal_batch,
+                result_store=result_store,
+                durability=spec.durability,
+                live=spec.live_status,
+            )
+        except ValueError as exc:
+            raise CampaignConfigError(str(exc)) from exc
 
         executor = Executor(
             site=site,
@@ -230,30 +264,11 @@ class CampaignService:
         except ValueError as exc:
             raise CampaignConfigError(str(exc)) from exc
 
-        run_options: Dict[str, Any] = {
-            "policy": spec.policy,
-            "workers": spec.max_workers,
-            "retry": retry,
-            "faults": faults,
-            "max_failures": spec.max_failures,
-            "journal": spec.journal,
-            "resume": resume,
-            "watchdog": watchdog,
-            "speculation": spec.speculate,
-            "straggler_factor": spec.straggler_factor,
-            "drain_after": spec.drain_after,
-            "trace": spec.trace,
-            "metrics": spec.metrics,
-            "journal_batch": spec.journal_batch,
-            "result_store": result_store,
-            "durability": spec.durability,
-            "live": spec.live_status,
-        }
         return PreparedCampaign(
             spec=spec,
             executor=executor,
             cases=ordered,
-            run_options=run_options,
+            config=config,
             system=system,
             warnings=warnings,
         )
@@ -316,27 +331,6 @@ class CampaignService:
         spack_vars.pop("build_locally", None)  # meaningless under simulation
         setvars.update(spack_vars)
         return setvars, spec_override
-
-    def _validate_options(self, spec: CampaignSpec, resume: bool) -> None:
-        if spec.policy not in POLICIES:
-            # a hand-written spec or an old queue record: fail here,
-            # not mid-run inside run_cases
-            raise CampaignConfigError(
-                f"unknown execution policy {spec.policy!r}; known: "
-                f"{', '.join(POLICIES)}"
-            )
-        if spec.max_workers < 1:
-            raise CampaignConfigError("-j/--max-workers must be >= 1")
-        if spec.max_retries < 0:
-            raise CampaignConfigError("--max-retries must be >= 0")
-        if resume and not spec.journal:
-            raise CampaignConfigError("--resume requires --journal PATH")
-        if spec.straggler_factor <= 1.0:
-            raise CampaignConfigError("--straggler-factor must be > 1")
-        if spec.drain_after is not None and spec.drain_after < 1:
-            raise CampaignConfigError("--drain-after must be >= 1")
-        if spec.journal_batch < 1:
-            raise CampaignConfigError("--journal-batch must be >= 1")
 
     def _probe_result_store(
         self, spec: CampaignSpec, warnings: List[str]

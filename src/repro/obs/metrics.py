@@ -33,6 +33,7 @@ __all__ = [
     "DURATION_BUCKETS",
     "Gauge",
     "Histogram",
+    "HitStats",
     "MetricsRegistry",
 ]
 
@@ -230,8 +231,7 @@ class MetricsRegistry:
     def merge_counts(self, prefix: str, counts: Dict[str, Any]) -> None:
         """Fold a plain ``{key: int}`` dict in as ``prefix.key`` counters.
 
-        The adapter the legacy stats objects publish through
-        (``CacheStats.publish`` / ``StoreStats.publish``): rates and
+        The adapter :meth:`HitStats.publish` folds through: rates and
         other non-integer values are skipped -- they are derivable from
         the counts and would not merge additively.
         """
@@ -322,3 +322,53 @@ class MetricsRegistry:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"MetricsRegistry({len(self)} metrics)"
+
+
+class HitStats:
+    """Hit/miss accounting for one cache, published as ``PREFIX.*``.
+
+    The base of the caches' stats objects (``CacheStats``,
+    ``StoreStats``, ``ResultStoreStats``).  A subclass lists its integer
+    counters in ``FIELDS``, in :meth:`as_dict` order; a name there that
+    the class defines as a property (a derived count) is read, not
+    reset.  ``RATES`` are derived ratios, appended to :meth:`as_dict`
+    rounded to four places.  ``PREFIX`` is the metrics namespace.
+    """
+
+    FIELDS: Tuple[str, ...]
+    RATES: Tuple[str, ...] = ("hit_rate",)
+    PREFIX: str
+
+    def __init__(self) -> None:
+        for name in self.FIELDS:
+            if not isinstance(getattr(type(self), name, None), property):
+                setattr(self, name, 0)
+
+    @property
+    def lookups(self) -> int:
+        return self.hits + self.misses
+
+    @property
+    def hit_rate(self) -> float:
+        """Fraction of lookups that hit (0.0 when idle)."""
+        total = self.lookups
+        return self.hits / total if total else 0.0
+
+    def as_dict(self) -> Dict[str, Any]:
+        doc = {name: getattr(self, name) for name in self.FIELDS}
+        for name in self.RATES:
+            doc[name] = round(getattr(self, name), 4)
+        return doc
+
+    def publish(self, registry: MetricsRegistry,
+                prefix: Optional[str] = None) -> None:
+        """Fold the counts into *registry* as ``prefix.*`` counters.
+
+        The rates are skipped by :meth:`MetricsRegistry.merge_counts`:
+        they are derivable from the counts and would not merge.
+        """
+        registry.merge_counts(prefix or self.PREFIX, self.as_dict())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v}" for k, v in self.as_dict().items())
+        return f"{type(self).__name__}({fields})"

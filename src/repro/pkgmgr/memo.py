@@ -42,6 +42,8 @@ import threading
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Optional, Tuple
 
+from repro.obs.metrics import HitStats
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.pkgmgr.environment import Environment
     from repro.pkgmgr.repository import RepoPath
@@ -69,48 +71,11 @@ class MemoizedFailure:
         return f"MemoizedFailure({self.message!r})"
 
 
-class CacheStats:
-    """Hit/miss accounting for one cache instance."""
+class CacheStats(HitStats):
+    """Hit/miss accounting for one concretization memo."""
 
-    __slots__ = ("hits", "misses", "evictions")
-
-    def __init__(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from the memo table (0.0 when idle)."""
-        total = self.lookups
-        return self.hits / total if total else 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "hit_rate": round(self.hit_rate, 4),
-        }
-
-    def publish(self, registry, prefix: str = "concretize") -> None:
-        """Fold these counts into a ``MetricsRegistry`` as ``prefix.*``.
-
-        The unified metrics namespace (DESIGN.md section 7): the memo's
-        integer counts become additive counters; ``hit_rate`` is skipped
-        by ``merge_counts`` -- it is derivable and would not merge.
-        """
-        registry.merge_counts(prefix, self.as_dict())
-
-    def __repr__(self) -> str:
-        return (
-            f"CacheStats(hits={self.hits}, misses={self.misses}, "
-            f"hit_rate={self.hit_rate:.2%})"
-        )
+    FIELDS = ("hits", "misses", "evictions")
+    PREFIX = "concretize"
 
 
 def _sha(text: str) -> str:

@@ -64,6 +64,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.obs.metrics import HitStats
 from repro.postprocess.perflog_reader import parse_block
 from repro.runner.perflog import PERFLOG_FIELDS
 
@@ -79,75 +80,23 @@ def _n_rows(cols: Dict[str, np.ndarray]) -> int:
     return len(next(iter(cols.values()))) if cols else 0
 
 
-class StoreStats:
-    """Hit/miss accounting, shaped like the concretization memo's stats."""
+class StoreStats(HitStats):
+    """Hit/miss accounting for the perflog ingest cache."""
 
-    __slots__ = ("full_hits", "partial_hits", "misses", "invalidations",
-                 "appends", "bytes_parsed", "bytes_reused", "rows_parsed",
-                 "rows_reused")
-
-    def __init__(self) -> None:
-        self.full_hits = 0
-        self.partial_hits = 0
-        self.misses = 0
-        self.invalidations = 0
-        self.appends = 0
-        self.bytes_parsed = 0
-        self.bytes_reused = 0
-        self.rows_parsed = 0
-        self.rows_reused = 0
+    FIELDS = ("full_hits", "partial_hits", "hits", "misses",
+              "invalidations", "appends", "bytes_parsed", "bytes_reused",
+              "rows_parsed", "rows_reused")
+    RATES = ("hit_rate", "byte_reuse_rate")
+    PREFIX = "ingest"
 
     @property
     def hits(self) -> int:
         return self.full_hits + self.partial_hits
 
     @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of reads served from the manifest (0.0 when idle)."""
-        total = self.lookups
-        return self.hits / total if total else 0.0
-
-    @property
     def byte_reuse_rate(self) -> float:
         total = self.bytes_parsed + self.bytes_reused
         return self.bytes_reused / total if total else 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "full_hits": self.full_hits,
-            "partial_hits": self.partial_hits,
-            "hits": self.hits,
-            "misses": self.misses,
-            "invalidations": self.invalidations,
-            "appends": self.appends,
-            "bytes_parsed": self.bytes_parsed,
-            "bytes_reused": self.bytes_reused,
-            "rows_parsed": self.rows_parsed,
-            "rows_reused": self.rows_reused,
-            "hit_rate": round(self.hit_rate, 4),
-            "byte_reuse_rate": round(self.byte_reuse_rate, 4),
-        }
-
-    def publish(self, registry, prefix: str = "ingest") -> None:
-        """Fold these counts into a ``MetricsRegistry`` as ``prefix.*``.
-
-        Mirrors ``CacheStats.publish`` (DESIGN.md section 7): integer
-        counts become additive counters; the derived rates are skipped
-        by ``merge_counts``.
-        """
-        registry.merge_counts(prefix, self.as_dict())
-
-    def __repr__(self) -> str:
-        return (
-            f"StoreStats(hits={self.hits} (full={self.full_hits}, "
-            f"partial={self.partial_hits}), misses={self.misses}, "
-            f"hit_rate={self.hit_rate:.2%}, "
-            f"byte_reuse={self.byte_reuse_rate:.2%})"
-        )
 
 
 @dataclass

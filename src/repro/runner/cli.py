@@ -28,7 +28,7 @@ from typing import List, Optional
 from repro.runner.benchmark import REGISTRY
 from repro.runner.executor import POLICIES
 
-__all__ = ["main", "build_parser", "load_suite", "spec_from_args"]
+__all__ = ["main", "build_parser", "load_suite"]
 
 #: benchmark suite name -> (module registering its tests, class filter).
 #: A None filter takes every class the module registers.
@@ -99,14 +99,15 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-bench",
         description="Automated, reproducible benchmarking (simulated platforms)",
     )
-    parser.add_argument("-c", "--checkpath", action="append", default=[],
-                        help="benchmark suite to load (babelstream/hpcg/hpgmg)")
+    # dests name CampaignSpec fields: CampaignSpec.from_args copies them
+    parser.add_argument("-c", "--checkpath", dest="suites", action="append",
+                        default=[], help="benchmark suite to load (babelstream/hpcg/hpgmg)")
     parser.add_argument("-r", "--run", action="store_true", help="run the tests")
     parser.add_argument("--list", action="store_true", help="list selected tests")
     parser.add_argument("--system", default=None,
                         help="target 'system[:partition]'; auto-detected otherwise")
-    parser.add_argument("--site", action="append", default=[],
-                        metavar="YAML",
+    parser.add_argument("--site", dest="site_yaml", action="append",
+                        default=[], metavar="YAML",
                         help="merge extra system definitions from a site "
                              "YAML file (repeatable); lets a campaign "
                              "target fleets not in the built-in registry")
@@ -118,14 +119,16 @@ def build_parser() -> argparse.ArgumentParser:
                         help="only tests whose name matches")
     parser.add_argument("-x", "--exclude", action="append", default=[],
                         help="exclude tests whose name matches")
-    parser.add_argument("--tag", action="append", default=[],
+    parser.add_argument("--tag", dest="tags", action="append", default=[],
                         help="only tests carrying this tag")
-    parser.add_argument("-J", "--job-option", action="append", default=[],
+    parser.add_argument("-J", "--job-option", dest="job_options",
+                        action="append", default=[],
                         help="scheduler option, e.g. -J'--qos=standard'")
     parser.add_argument("--performance-report", action="store_true")
     parser.add_argument("--perflog-dir", default="perflogs",
                         help="perflog output prefix (default: ./perflogs)")
-    parser.add_argument("--environ", action="append", default=[],
+    parser.add_argument("--environ", dest="environs", action="append",
+                        default=[],
                         help="programming environment(s) to use")
     parser.add_argument("--dry-run", action="store_true",
                         help="concretize and render job scripts, run nothing")
@@ -270,52 +273,16 @@ def _probe_writable_dir(path: str) -> Optional[str]:
         return str(exc)
 
 
-def spec_from_args(args: argparse.Namespace):
-    """The parsed CLI namespace as an embeddable CampaignSpec."""
-    from repro.fleet.service import CampaignSpec
-
-    return CampaignSpec(
-        suites=args.checkpath,
-        system=args.system,
-        site_yaml=args.site,
-        setvar=args.setvar,
-        spack_var=args.spack_var,
-        name=args.name,
-        exclude=args.exclude,
-        tags=args.tag,
-        job_options=args.job_option,
-        environs=args.environ,
-        perflog_dir=args.perflog_dir,
-        policy=args.policy,
-        max_workers=args.max_workers,
-        max_retries=args.max_retries,
-        max_failures=args.max_failures,
-        journal=args.journal,
-        journal_batch=args.journal_batch,
-        result_store=args.result_store,
-        inject_faults=args.inject_faults,
-        fault_seed=args.fault_seed,
-        durability=args.durability,
-        watchdog=args.watchdog,
-        speculate=args.speculate,
-        straggler_factor=args.straggler_factor,
-        drain_after=args.drain_after,
-        trace=args.trace,
-        metrics=args.metrics,
-        live_status=args.live_status,
-    )
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    if not args.checkpath:
+    if not args.suites:
         parser.error("no benchmarks selected; use -c <suite>")
 
     try:
         classes = []
-        for path in args.checkpath:
+        for path in args.suites:
             classes.extend(load_suite(path))
     except KeyError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -337,11 +304,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     # case expansion, flag validation, the run itself -- lives in the
     # embeddable CampaignService; repro-bench is one client of it, the
     # repro-fleet supervisor another
-    from repro.fleet.service import CampaignConfigError, CampaignService
+    from repro.fleet.service import (
+        CampaignConfigError,
+        CampaignService,
+        CampaignSpec,
+    )
 
     service = CampaignService()
     try:
-        prepared = service.prepare(spec_from_args(args), resume=args.resume)
+        prepared = service.prepare(CampaignSpec.from_args(args),
+                                   resume=args.resume)
     except CampaignConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -386,8 +358,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         else:
             report = run_campaign()
     except ValueError as exc:
-        # a run option run_cases rejects that prepare() did not catch:
-        # a clean error line, not a traceback
+        # input the run itself rejects, such as a --resume journal
+        # written by a newer release: a clean error line, not a traceback
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(report.summary(), end="")

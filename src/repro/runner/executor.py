@@ -27,8 +27,9 @@ from __future__ import annotations
 import fnmatch
 import hashlib
 import io
+import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import (
     Any,
     Callable,
@@ -68,11 +69,11 @@ from repro.runner.resilience import (
     DurabilityPolicy,
     Quarantine,
     RetryPolicy,
+    _sha_text,
     as_journal,
     case_fingerprint,
     make_case_record,
     result_from_record,
-    run_config_fingerprint,
 )
 from repro.runner.results import (
     CaseResultStore,
@@ -82,10 +83,155 @@ from repro.runner.results import (
 )
 from repro.runner.watchdog import Watchdog, WatchdogSpec, as_watchdog
 
-__all__ = ["Executor", "RunReport", "POLICIES"]
+__all__ = ["Executor", "RunConfig", "RunReport", "POLICIES"]
 
 #: the execution policies run_cases accepts
 POLICIES = ("serial", "async")
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """How a campaign runs: the one declaration of its run options.
+
+    ``Executor.run_cases(cases, config, **fields)`` runs under *config*
+    with any keyword replacing one field; ``CampaignService.prepare``
+    resolves a ``CampaignSpec`` into one.  Construction validates the
+    options (a bad one raises :class:`ValueError` naming its CLI flag),
+    and :meth:`fingerprint` hashes the ones that shape case results.
+    None of the optional features are armed by default, and the default
+    config runs byte-identically to earlier releases.
+    """
+
+    #: ``'serial'`` runs one case at a time, ``'async'`` dependency
+    #: wavefronts on ``workers`` threads; both in the same result order
+    policy: str = "serial"
+    workers: int = 1
+    # -- resilience (DESIGN.md section 6) ---------------------------------
+    #: per-case re-attempts of transient failures (None: three attempts,
+    #: exponential backoff on the virtual clock)
+    retry: Optional[RetryPolicy] = None
+    #: the deterministic chaos plan injected at every pipeline fault
+    #: site; its I/O kinds arm a :class:`~repro.iofaults.FaultyIO` shim
+    #: across every artifact writer
+    faults: Optional[FaultPlan] = None
+    #: campaign circuit breaker: failures are counted in deterministic
+    #: result order and, once the budget is spent, the remaining cases
+    #: are not run (:attr:`RunReport.aborted` carries the trip message)
+    max_failures: Optional[int] = None
+    #: a crash-safe JSONL journal every finished case is appended to
+    #: *after* its perflog rows are flushed; compacted on success
+    journal: Optional[Union[str, CampaignJournal]] = None
+    #: replay the journal's completed cases instead of re-running them
+    resume: bool = False
+    #: with ``resume``: quarantine cases that failed this many times
+    quarantine_threshold: Optional[int] = 3
+    # -- slow faults (DESIGN.md section 6.4) ------------------------------
+    #: per-stage deadlines on the simulated clock (spec string,
+    #: :class:`WatchdogSpec` or armed :class:`Watchdog`): a job past its
+    #: ``run`` budget is cancelled as HUNG (transient, hence retried), a
+    #: build over its ``build`` budget fails the build stage
+    watchdog: Optional[Union[str, WatchdogSpec, Watchdog]] = None
+    #: ``True`` or a :class:`SpeculationPolicy`: launch one duplicate of
+    #: any case slower than ``straggler_factor`` x the running median of
+    #: completed peers; only the accepted attempt is perflogged/journaled
+    speculation: Optional[Union[bool, SpeculationPolicy]] = None
+    straggler_factor: float = 2.0
+    #: arm a campaign-wide :class:`HealthTracker`: nodes blamed for this
+    #: many fault events are softly drained from allocation; the state
+    #: is journaled and restored on ``resume``
+    drain_after: Optional[int] = None
+    #: an explicit tracker to share or pre-seed (overrides drain_after)
+    health: Optional[HealthTracker] = None
+    # -- observability (DESIGN.md section 7) ------------------------------
+    #: a path or :class:`~repro.obs.trace.Tracer`: stream spans to a
+    #: crash-safe JSONL trace, flushed per case in result order, on the
+    #: simulated clock -- byte-identical across execution policies
+    trace: Optional[Union[str, Tracer]] = None
+    #: ``True`` or a shared :class:`MetricsRegistry`: collect counters and
+    #: duration histograms into :attr:`RunReport.metrics`, the trace's
+    #: final record and provenance.  Tracing implies metrics
+    metrics: Optional[Union[bool, MetricsRegistry]] = None
+    #: group-commit journal appends: records for up to this many cases
+    #: are written in one durable append, each batch after its perflog
+    #: rows are flushed.  The bytes are identical to per-case appends;
+    #: the trade is ~N x fewer fsyncs against a bounded tail-loss window
+    journal_batch: int = 1
+    # -- incremental campaigns (DESIGN.md section 8) ----------------------
+    #: a directory or :class:`~repro.runner.results.CaseResultStore`:
+    #: content-address every finished case (coordinates, concretization
+    #: problem, system, benchmark source, :meth:`fingerprint`) and replay
+    #: unchanged cases byte-identically; replays journal as meta records
+    result_store: Optional[Union[str, CaseResultStore]] = None
+    # -- storage faults (DESIGN.md section 6.6) ---------------------------
+    #: ``'strict'`` fail-stops on an artifact write failure with a
+    #: :class:`DurabilityError` naming it; ``'degrade'`` drops the optional
+    #: ones (result store, ingest cache, trace) and keeps running.  The
+    #: journal and perflogs fail-stop under either (perflogs retry first)
+    durability: str = "strict"
+    # -- live analytics (DESIGN.md section 10) ----------------------------
+    #: a path or :class:`~repro.obs.live.LiveStatsSink`: a pure observer
+    #: of every completed case; a path streams ``live-status`` snapshots
+    #: for ``repro-top``
+    live: Optional[Union[str, LiveStatsSink]] = None
+
+    def __post_init__(self) -> None:
+        if self.policy not in POLICIES:
+            raise ValueError(
+                f"unknown execution policy {self.policy!r}; known: "
+                f"{', '.join(POLICIES)}"
+            )
+        if self.workers < 1:
+            raise ValueError("-j/--max-workers must be >= 1")
+        if self.journal_batch < 1:
+            raise ValueError("--journal-batch must be >= 1")
+        if self.straggler_factor <= 1.0:
+            raise ValueError("--straggler-factor must be > 1")
+        if self.drain_after is not None and self.drain_after < 1:
+            raise ValueError("--drain-after must be >= 1")
+        if self.max_failures is not None and self.max_failures < 1:
+            raise ValueError("--max-failures must be >= 1")
+        if self.durability not in DurabilityPolicy.MODES:
+            raise ValueError(
+                f"--durability must be one of "
+                f"{', '.join(DurabilityPolicy.MODES)}, "
+                f"got {self.durability!r}"
+            )
+
+    def _speculation(self) -> Optional[SpeculationPolicy]:
+        if isinstance(self.speculation, bool):
+            return (
+                SpeculationPolicy(straggler_factor=self.straggler_factor)
+                if self.speculation else None
+            )
+        return self.speculation
+
+    def fingerprint(self) -> str:
+        """Content hash of the options that shape case *results*.
+
+        Retry policy, fault plan and seed, watchdog deadlines, straggler
+        threshold and drain threshold can each change a stored result,
+        so each invalidates the result store.  Policy, workers, batching
+        and artifact paths choose *how* the campaign runs, not what its
+        artifacts contain, so they are left out.
+        """
+        watchdog = as_watchdog(self.watchdog)
+        speculation = self._speculation()
+        doc: Dict[str, Any] = {
+            "retry": asdict(self.retry or RetryPolicy()),
+            "faults": (
+                {"spec": self.faults.format(), "seed": self.faults.seed}
+                if self.faults is not None else None
+            ),
+            "watchdog": (
+                watchdog.spec.format() if watchdog is not None else None
+            ),
+            "speculation": (
+                {"straggler_factor": speculation.straggler_factor}
+                if speculation is not None else None
+            ),
+            "drain_after": self.drain_after,
+        }
+        return _sha_text(json.dumps(doc, sort_keys=True))
 
 
 @dataclass
@@ -379,180 +525,39 @@ class Executor:
                 value = declared[name].coerce(value)
             setattr(test, name, value)
 
-    @staticmethod
-    def _order_by_dependencies(cases: Sequence[TestCase]) -> List[TestCase]:
-        """Topologically order cases so test dependencies run first.
-
-        (Kept as a method for backwards compatibility; the implementation
-        lives in :func:`repro.runner.parallel.order_by_dependencies`.)
-        """
-        return order_by_dependencies(cases)
-
     def run_cases(
         self,
         cases: Sequence[TestCase],
-        policy: str = "serial",
-        workers: int = 1,
-        retry: Optional[RetryPolicy] = None,
-        faults: Optional[FaultPlan] = None,
-        max_failures: Optional[int] = None,
-        journal: Optional[Union[str, CampaignJournal]] = None,
-        resume: bool = False,
-        quarantine_threshold: Optional[int] = 3,
-        watchdog: Optional[Union[str, WatchdogSpec, Watchdog]] = None,
-        speculation: Optional[Union[bool, SpeculationPolicy]] = None,
-        straggler_factor: float = 2.0,
-        drain_after: Optional[int] = None,
-        health: Optional[HealthTracker] = None,
-        trace: Optional[Union[str, Tracer]] = None,
-        metrics: Optional[Union[bool, MetricsRegistry]] = None,
-        journal_batch: int = 1,
-        result_store: Optional[Union[str, CaseResultStore]] = None,
-        durability: str = "strict",
-        live: Optional[Union[str, LiveStatsSink]] = None,
+        config: Optional[RunConfig] = None,
+        **fields: Any,
     ) -> RunReport:
-        """Run a campaign under the chosen execution policy.
+        """Run a campaign under *config* (default: :class:`RunConfig`).
 
-        ``policy='serial'`` processes the topological order one case at a
-        time; ``policy='async'`` runs dependency wavefronts on ``workers``
-        threads.  Both produce results (and perflogs) in the identical,
-        deterministic serial order.
-
-        ``journal_batch > 1`` group-commits journal appends: records for
-        up to that many finished cases are formatted as results stream in
-        and written in one durable append (perflog rows are still flushed
-        first, so the crash-safety invariant -- journal entry implies
-        on-disk perflog data -- holds at every batch boundary).  The
-        on-disk byte sequence is identical to per-case appends; the trade
-        is ~batch x fewer fsyncs against a bounded tail-loss window on a
-        crash.
-
-        Resilience (DESIGN.md section 6):
-
-        * ``retry`` bounds per-case re-attempts of transient failures
-          (default: :class:`RetryPolicy` -- three attempts, exponential
-          backoff on the virtual clock);
-        * ``faults`` injects the deterministic chaos plan at every
-          pipeline fault site (``--inject-faults``);
-        * ``max_failures`` arms the campaign circuit breaker -- failures
-          are counted in deterministic result order, and once the budget
-          is exhausted the remaining cases are not run
-          (:class:`RunReport.aborted` carries the trip message);
-        * ``journal`` appends every finished case to a crash-safe JSONL
-          journal *after* its perflog rows are flushed; with
-          ``resume=True`` completed cases found in the journal are
-          replayed instead of re-run, and cases that failed in
-          ``quarantine_threshold`` earlier cycles are quarantined.
-
-        Slow faults (DESIGN.md section 6.4):
-
-        * ``watchdog`` (a spec string, :class:`WatchdogSpec` or armed
-          :class:`Watchdog`) enforces per-stage deadlines on the
-          simulated clock -- a job still running past its ``run`` budget
-          is cancelled as HUNG (transient, hence retried), a build over
-          its ``build`` budget fails the build stage;
-        * ``speculation`` (``True`` or a :class:`SpeculationPolicy`)
-          launches one speculative duplicate for any case slower than
-          ``straggler_factor x`` the running median of completed peers;
-          the accepted attempt is the only one perflogged/journaled;
-        * ``drain_after`` arms a campaign-wide
-          :class:`~repro.runner.health.HealthTracker`: nodes blamed for
-          ``drain_after`` fault events are (softly) drained from
-          allocation; state is journaled and restored on ``resume``.
-          Pass a ``health`` tracker explicitly to share or pre-seed one.
-
-        Observability (DESIGN.md section 7):
-
-        * ``trace`` (a path or :class:`~repro.obs.trace.Tracer`) streams
-          structured spans -- pipeline stages, scheduler job lifecycle,
-          retries, watchdog events -- to a crash-safe JSONL trace file,
-          flushed per case in the deterministic result order.  All
-          timestamps are simulated seconds, so the trace for a given
-          seed is *byte-identical* across execution policies;
-        * ``metrics`` (``True`` or a shared
-          :class:`~repro.obs.metrics.MetricsRegistry`) collects the
-          campaign's counters and duration histograms; the snapshot
-          lands on :attr:`RunReport.metrics`, in the trace file's final
-          record, and (via ``RunProvenance.attach_metrics``) in
-          provenance.  Tracing implies metrics;
-        * ``live`` (a path or :class:`~repro.obs.live.LiveStatsSink`)
-          arms the live analytics plane (DESIGN.md section 10): the
-          sink subscribes to the perflog/trace writer hooks, receives
-          every completed case as it is consumed, and -- when given a
-          path -- streams sealed ``live-status`` snapshots a second
-          process can watch with ``repro-top``.  A pure observer: it
-          cannot fail or slow the campaign beyond its own accounting,
-          and everything it sees is on the simulated clock.
-
-        Incremental campaigns (DESIGN.md "Incremental campaigns"):
-
-        * ``result_store`` (a directory path or
-          :class:`~repro.runner.results.CaseResultStore`) content-
-          addresses every finished case by its composite fingerprint
-          (case coordinates, concretization problem, system
-          fingerprint, benchmark source, run config).  On the next run,
-          cases whose address is unchanged are **replayed** from the
-          store -- stored perflog rows, spans, energy and provenance
-          re-emitted byte-identically, marked ``cached_from`` -- and
-          only the invalidated delta executes.  Composes with
-          ``--resume``: journal-resumed cases skip the store entirely,
-          and store replays journal as ``kind='replay'`` meta records
-          (no double-counting).
-
-        Storage faults (DESIGN.md section 6.6):
-
-        * ``durability`` selects what a durable artifact's write failure
-          does.  ``'strict'`` (default) fail-stops the campaign with a
-          :class:`DurabilityError` naming the artifact; ``'degrade'``
-          demotes *optional* artifacts -- result store, ingest-cache
-          mirror, trace -- to their uncached/untraced path and keeps
-          running (counted in ``io.degraded.*`` and the ``Degraded:``
-          summary line).  The journal fail-stops under either policy,
-          and perflog flushes retry (harder under degrade) before
-          giving up.  When the fault plan carries I/O kinds
-          (``enospc``/``eio``/``torn``/``bitrot``/``fsync-lie``) a
-          :class:`~repro.iofaults.FaultyIO` shim is armed across every
-          artifact writer.
-
-        None of these are armed by default, and the default path runs
-        byte-identically to earlier releases.  On successful completion
-        the journal (if any) is compacted in place.
+        Each keyword in *fields* replaces the :class:`RunConfig` field of
+        that name, so ``run_cases(cases, policy="async", workers=4)`` and
+        ``run_cases(cases, RunConfig(policy="async", workers=4))`` are the
+        same campaign.  Results come back in the deterministic serial
+        order under either policy.
         """
-        if policy not in POLICIES:
-            raise ValueError(
-                f"unknown execution policy {policy!r}; known: "
-                f"{', '.join(POLICIES)}"
-            )
-        if journal_batch < 1:
-            raise ValueError(f"journal_batch must be >= 1, got {journal_batch}")
-        ordered = self._order_by_dependencies(cases)
-        effective_workers = workers if policy == "async" else 1
-
-        retry_policy = retry or RetryPolicy()
+        config = replace(config or RunConfig(), **fields)
+        ordered = order_by_dependencies(cases)
+        effective_workers = config.workers if config.policy == "async" else 1
+        faults = config.faults
+        retry_policy = config.retry or RetryPolicy()
         clock = faults.clock if faults is not None else FaultClock()
-        breaker = CircuitBreaker(max_failures)
-        quarantine = Quarantine(quarantine_threshold)
-        journal = as_journal(journal)
-        watchdog = as_watchdog(watchdog)
-        if health is None and drain_after is not None:
-            health = HealthTracker(drain_after=drain_after)
-        if isinstance(speculation, bool):
-            speculation = (
-                SpeculationPolicy(straggler_factor=straggler_factor)
-                if speculation
-                else None
-            )
-        store = as_result_store(result_store)
+        breaker = CircuitBreaker(config.max_failures)
+        quarantine = Quarantine(config.quarantine_threshold)
+        journal = as_journal(config.journal)
+        watchdog = as_watchdog(config.watchdog)
+        health = config.health
+        if health is None and config.drain_after is not None:
+            health = HealthTracker(drain_after=config.drain_after)
+        speculation = config._speculation()
+        store = as_result_store(config.result_store)
         store_keys: Dict[int, str] = {}
         run_id = ""
         if store is not None:
-            config_key = run_config_fingerprint(
-                retry=retry_policy,
-                faults=faults,
-                watchdog_spec=watchdog.spec if watchdog is not None else None,
-                speculation=speculation,
-                drain_after=drain_after,
-            )
+            config_key = config.fingerprint()
             # composite keys are computed up front (cheap: sha256 over
             # sorted-key JSON, source hashes memoized per class) so the
             # campaign's run id -- the ``cached_from`` provenance marker
@@ -563,10 +568,10 @@ class Executor:
             run_id = hashlib.sha256(
                 "\x1f".join(sorted(store_keys.values())).encode("utf-8")
             ).hexdigest()[:12]
-        tracer = as_tracer(trace)
-        if isinstance(metrics, MetricsRegistry):
-            registry: Optional[MetricsRegistry] = metrics
-        elif metrics or tracer is not None:
+        tracer = as_tracer(config.trace)
+        if isinstance(config.metrics, MetricsRegistry):
+            registry: Optional[MetricsRegistry] = config.metrics
+        elif config.metrics or tracer is not None:
             registry = MetricsRegistry()
         else:
             registry = None
@@ -576,7 +581,7 @@ class Executor:
             tracer.recorder("campaign") if tracer is not None else None
         )
         campaign_cursor = [0.0]
-        live_sink = as_live_sink(live)
+        live_sink = as_live_sink(config.live)
         if live_sink is not None:
             # the live plane listens on the writer hooks (add_sink is
             # idempotent: fleet slices reuse one executor + sink pair)
@@ -585,7 +590,7 @@ class Executor:
             if self.perflog is not None:
                 self.perflog.add_sink(live_sink)
         completed: Dict[str, Dict[str, Any]] = {}
-        if journal is not None and resume:
+        if journal is not None and config.resume:
             completed = journal.load()
             quarantine.seed(journal.failure_counts())
             if health is not None:
@@ -594,7 +599,7 @@ class Executor:
                     health.restore(snapshot)
         if self.perflog is not None and faults is not None:
             self.perflog.faults = faults
-        durpolicy = DurabilityPolicy(durability)
+        durpolicy = DurabilityPolicy(config.durability)
         iofault_shim = None
         if faults is not None and faults.has_io_faults:
             from repro.iofaults import FaultyIO
@@ -688,8 +693,8 @@ class Executor:
             )
 
         collected: List[CaseResult] = []
-        # journal group-commit buffer (journal_batch > 1): records are
-        # formatted per case in consumption order, appended in batches
+        # journal group-commit buffer: records are formatted per case in
+        # consumption order, appended every journal_batch cases
         jbuffer: List[Dict[str, Any]] = []
 
         def flush_perflog_retrying() -> None:
@@ -729,9 +734,9 @@ class Executor:
         def flush_journal() -> None:
             if not jbuffer:
                 return
-            # same perflog-before-journal invariant as persist_now,
-            # applied at the batch boundary: every record about to be
-            # appended has its perflog rows durably flushed first
+            # the perflog-before-journal invariant (see persist): every
+            # record about to be appended has its rows durably flushed;
+            # past the retry budget, fail loudly rather than journal a lie
             flush_perflog_retrying()
             journal_append(journal.record_many, jbuffer)
             jbuffer.clear()
@@ -766,23 +771,12 @@ class Executor:
             return journal.make_record(result, fingerprint=fingerprint,
                                        failures=failures)
 
-        def persist_batched(result: CaseResult, fingerprint: str,
-                            failures: Optional[int]) -> None:
-            emit_rows(result)
-            jbuffer.append(journal_record(result, fingerprint, failures))
-            if len(jbuffer) >= journal_batch:
-                flush_journal()
-            if health is not None and health.dirty:
-                # health snapshots must not outrun their case records
-                flush_journal()
-                journal_append(journal.record_health, health.snapshot())
-
-        def persist_now(result: CaseResult, fingerprint: str,
-                        failures: Optional[int]) -> None:
+        def persist(result: CaseResult, fingerprint: str,
+                    failures: Optional[int]) -> None:
             """Emit one result's perflog rows, then journal it.
 
-            Ordering is the crash-safety invariant: the journal line is
-            appended only after the case's perflog rows are durably
+            Ordering is the crash-safety invariant: a journal batch is
+            appended only after its cases' perflog rows are durably
             flushed, so a journal entry always implies on-disk perflog
             data and ``--resume`` never loses (or duplicates) rows.
             Perflog write errors are retried -- the batched writer
@@ -793,16 +787,13 @@ class Executor:
             emit_rows(result)
             if journal is None:
                 return
-            # durable perflog data is unattainable after the retry
-            # budget: fail loudly rather than journal a lie
-            flush_perflog_retrying()
-            journal_append(
-                journal.record_many,
-                [journal_record(result, fingerprint, failures)],
-            )
+            jbuffer.append(journal_record(result, fingerprint, failures))
+            if len(jbuffer) >= config.journal_batch:
+                flush_journal()
             if health is not None and health.dirty:
                 # snapshot *after* the case record: a resumed campaign
                 # restores at least the health state this case produced
+                flush_journal()
                 journal_append(journal.record_health, health.snapshot())
 
         def drop_store() -> None:
@@ -896,10 +887,7 @@ class Executor:
             if failed and not result.resumed:
                 failures = quarantine.record_failure(fingerprint)
             if not result.resumed:
-                if journal is not None and journal_batch > 1:
-                    persist_batched(result, fingerprint, failures)
-                else:
-                    persist_now(result, fingerprint, failures)
+                persist(result, fingerprint, failures)
             if registry is not None and not result.skipped:
                 self._observe_result(registry, result)
             if tracer is not None:

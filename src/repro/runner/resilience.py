@@ -65,7 +65,6 @@ __all__ = [
     "is_transient",
     "make_case_record",
     "result_from_record",
-    "run_config_fingerprint",
 ]
 
 #: record-shape version stamped (as ``"v"``) on journal *meta* records
@@ -445,54 +444,6 @@ def _sha_text(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def run_config_fingerprint(
-    retry: Optional["RetryPolicy"] = None,
-    faults: Any = None,
-    watchdog_spec: Any = None,
-    speculation: Any = None,
-    drain_after: Optional[int] = None,
-) -> str:
-    """Content hash of the run configuration that shapes case *results*.
-
-    Everything here can change what a case's stored result would have
-    been -- retry budget/backoff seed, the fault plan and its seed, the
-    watchdog's deadlines, speculation's straggler threshold, the drain
-    threshold -- so a change to any of them must invalidate the result
-    store (the ``case_fingerprint`` blind spot this PR closes).
-
-    Deliberately *excluded*: execution policy, worker count, journal /
-    trace / perflog batching.  Those choose *how* the campaign runs, not
-    what its artifacts contain -- the byte-identity contract across
-    serial/async is exactly why they must not invalidate.
-    """
-    doc: Dict[str, Any] = {
-        "retry": (
-            {
-                "max_attempts": retry.max_attempts,
-                "backoff_base": retry.backoff_base,
-                "backoff_factor": retry.backoff_factor,
-                "backoff_max": retry.backoff_max,
-                "jitter": retry.jitter,
-                "seed": retry.seed,
-            }
-            if retry is not None else None
-        ),
-        "faults": (
-            {"spec": faults.format(), "seed": faults.seed}
-            if faults is not None else None
-        ),
-        "watchdog": (
-            watchdog_spec.format() if watchdog_spec is not None else None
-        ),
-        "speculation": (
-            {"straggler_factor": speculation.straggler_factor}
-            if speculation is not None else None
-        ),
-        "drain_after": drain_after,
-    }
-    return _sha_text(json.dumps(doc, sort_keys=True))
-
-
 def content_address(
     case: Any,
     *,
@@ -520,7 +471,7 @@ def content_address(
                         scheduler/launcher, node hardware, environments,
                         account/QoS requirements and defaults
     ``source_key``      :func:`benchmark_source_hash` of the test class
-    ``config_key``      :func:`run_config_fingerprint`: retry policy,
+    ``config_key``      ``RunConfig.fingerprint()``: retry policy,
                         fault plan + seed, watchdog, speculation, draining
     ==================  ====================================================
 

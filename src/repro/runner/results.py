@@ -11,7 +11,7 @@ re-execute only the invalidated delta.  This module is that store:
   :meth:`~repro.pkgmgr.memo.ConcretizationCache.key_for`,
   :meth:`~repro.runner.config.SystemConfig.fingerprint`,
   :func:`~repro.runner.resilience.benchmark_source_hash`,
-  :func:`~repro.runner.resilience.run_config_fingerprint`);
+  :meth:`~repro.runner.executor.RunConfig.fingerprint`);
 * an entry holds everything the executor's downstream consumers read
   from a finished case: the journal-shaped outcome record, stdout /
   run command / job script / build log, the rendered concrete spec,
@@ -38,6 +38,7 @@ import time
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.obs.jsonl import seal_line, verify_line
+from repro.obs.metrics import HitStats
 from repro.runner.resilience import (
     benchmark_source_hash,
     case_fingerprint,
@@ -82,50 +83,18 @@ def _unpack_line(line: str) -> Optional[Tuple[str, Dict[str, Any]]]:
     return None if entry is None else (key, entry)
 
 
-class ResultStoreStats:
-    """Hit/miss accounting, same idiom as ``CacheStats``/``StoreStats``."""
+class ResultStoreStats(HitStats):
+    """Hit/miss accounting for the case result store.
 
-    def __init__(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        #: misses where an *older* result for the same case identity
-        #: exists under a different composite key -- i.e. the case was
-        #: invalidated by an edit, not simply never seen
-        self.invalidated = 0
-        #: unreadable/torn/version-skewed entries tolerated as misses
-        self.corrupted = 0
-        self.evictions = 0
-        self.puts = 0
+    ``invalidated`` counts misses where an *older* result for the same
+    case identity exists under a different composite key -- the case
+    was invalidated by an edit, not simply never seen; ``corrupted``
+    counts unreadable/torn/version-skewed entries tolerated as misses.
+    """
 
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.lookups
-        return self.hits / total if total else 0.0
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "invalidated": self.invalidated,
-            "corrupted": self.corrupted,
-            "evictions": self.evictions,
-            "puts": self.puts,
-            "hit_rate": round(self.hit_rate, 4),
-        }
-
-    def publish(self, registry, prefix: str = "resultstore") -> None:
-        """Fold the counters into a metrics registry namespace."""
-        registry.merge_counts(prefix, self.as_dict())
-
-    def __repr__(self) -> str:
-        return (
-            f"ResultStoreStats({self.hits} hits / {self.misses} misses, "
-            f"{self.invalidated} invalidated)"
-        )
+    FIELDS = ("hits", "misses", "invalidated", "corrupted", "evictions",
+              "puts")
+    PREFIX = "resultstore"
 
 
 class StoredSpec:

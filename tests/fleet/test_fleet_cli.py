@@ -121,3 +121,14 @@ def test_config_error_surfaces_as_failed_campaign(qpath, tmp_path, capsys):
     assert "unknown benchmark suite" in out
     states = CampaignQueue(qpath).load()
     assert all(s.status == "failed" for s in states.values())
+
+
+def test_invalid_run_option_fails_only_its_campaign(qpath, tmp_path, capsys):
+    """A bad run option fails its campaign at prepare; the rest run."""
+    submit(qpath, tmp_path, "bad", "--max-failures", "0")
+    submit(qpath, tmp_path, "good")
+    assert fleet_main(["run", "--queue", qpath]) == 1
+    states = sorted(CampaignQueue(qpath).load().values(), key=lambda s: s.seq)
+    assert [s.status for s in states] == ["failed", "completed"]
+    assert "--max-failures must be >= 1" in states[0].detail
+    assert states[1].failed == 0 and states[1].passed > 0

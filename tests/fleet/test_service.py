@@ -49,6 +49,46 @@ def test_content_id_tracks_what_runs_not_how(tmp_path):
         spec(tmp_path, system="isambard-macs:cascadelake").content_id()
 
 
+#: a spec with every field set, and its queue-record doc and content id
+#: at the commit that introduced RunConfig: queued records and timeline
+#: keys written by earlier releases must keep meaning the same campaign
+FIXTURE_SPEC = CampaignSpec(
+    suites=["stream", "hpcg"], system="archer2", site_yaml=["site.yaml"],
+    setvar=["num_times=5"], spack_var=["spack_spec=babelstream@4.0"],
+    name=["Stream"], exclude=["HPCG_Intel"], tags=["omp"],
+    job_options=["--qos=standard"], environs=["gnu"], perflog_dir="pl",
+    policy="async", max_workers=2, max_retries=3, max_failures=4,
+    journal="j.jsonl", journal_batch=8, result_store="store",
+    inject_faults="build:0.3", fault_seed=7, durability="degrade",
+    watchdog="run=40", speculate=True, straggler_factor=1.5,
+    drain_after=2, trace="t.jsonl", metrics=True,
+    live_status="live.jsonl", perflog_timestamp=PINNED_TS,
+)
+GOLDEN_FIXTURE_DOC = (
+    '{"suites": ["stream", "hpcg"], "system": "archer2", '
+    '"site_yaml": ["site.yaml"], "setvar": ["num_times=5"], '
+    '"spack_var": ["spack_spec=babelstream@4.0"], "name": ["Stream"], '
+    '"exclude": ["HPCG_Intel"], "tags": ["omp"], '
+    '"job_options": ["--qos=standard"], "environs": ["gnu"], '
+    '"perflog_dir": "pl", "policy": "async", "max_workers": 2, '
+    '"max_retries": 3, "max_failures": 4, "journal": "j.jsonl", '
+    '"journal_batch": 8, "result_store": "store", '
+    '"inject_faults": "build:0.3", "fault_seed": 7, '
+    '"durability": "degrade", "watchdog": "run=40", "speculate": true, '
+    '"straggler_factor": 1.5, "drain_after": 2, "trace": "t.jsonl", '
+    '"metrics": true, "live_status": "live.jsonl", '
+    '"perflog_timestamp": "2026-01-01T00:00:00"}'
+)
+
+
+def test_spec_doc_and_content_id_goldens():
+    import json
+
+    assert json.dumps(FIXTURE_SPEC.to_doc()) == GOLDEN_FIXTURE_DOC
+    assert FIXTURE_SPEC.content_id() == "fd2b8849580ba9d3"
+    assert CampaignSpec().content_id() == "613b30372cd24a59"
+
+
 def test_prepare_validates_with_cli_error_messages(tmp_path):
     service = CampaignService()
     checks = [
@@ -57,6 +97,8 @@ def test_prepare_validates_with_cli_error_messages(tmp_path):
         (dict(straggler_factor=1.0), "--straggler-factor must be > 1"),
         (dict(drain_after=0), "--drain-after must be >= 1"),
         (dict(journal_batch=0), "--journal-batch must be >= 1"),
+        (dict(max_failures=0), "--max-failures must be >= 1"),
+        (dict(durability="bogus"), "--durability must be one of"),
         (dict(setvar=["oops"]), "expected VAR=VALUE, got 'oops'"),
         (dict(inject_faults="nope:0.5"), "--inject-faults"),
         (dict(watchdog="bogus=1"), "--watchdog"),
@@ -143,6 +185,6 @@ def test_result_store_probe_degrades_into_warning(tmp_path):
     prepared = service.prepare(
         spec(tmp_path, result_store=str(blocked), durability="degrade")
     )
-    assert prepared.run_options["result_store"] is None
+    assert prepared.config.result_store is None
     assert any("continuing without the result store" in w
                for w in prepared.warnings)

@@ -25,8 +25,9 @@ from repro.runner import sanity as sn
 from repro.runner.benchmark import RegressionTest, SpackTest
 from repro.runner.cli import main as bench_main
 from repro.runner.config import default_site_config
-from repro.runner.executor import Executor
+from repro.runner.executor import Executor, RunConfig
 from repro.runner.fields import parameter, variable
+from repro.runner.parallel import SpeculationPolicy
 from repro.runner.resilience import (
     _SOURCE_HASH_CACHE,
     CampaignJournal,
@@ -34,7 +35,6 @@ from repro.runner.resilience import (
     benchmark_source_hash,
     case_fingerprint,
     content_address,
-    run_config_fingerprint,
 )
 from repro.runner.results import CaseResultStore
 from repro.runner.watchdog import WatchdogSpec
@@ -173,26 +173,67 @@ def test_invalidation_matrix(tmp_path, dimension, should_change):
         edited = CaseResultStore(str(tmp_path / "s2")).key_for(_case())
     elif dimension == "config":
         case = _case()
-        base = store.key_for(case, run_config_fingerprint())
-        edited = store.key_for(case, run_config_fingerprint(
-            faults=FaultPlan.parse("build:0.3", seed=1)))
+        base = store.key_for(case, RunConfig().fingerprint())
+        edited = store.key_for(case, RunConfig(
+            faults=FaultPlan.parse("build:0.3", seed=1)).fingerprint())
     else:  # no_edit: two independent computations, fresh store
         base = store.key_for(_case())
         edited = CaseResultStore(str(tmp_path / "s2")).key_for(_case())
     assert (base != edited) == should_change
 
 
+#: one config per knob the result key covers, with its digest at the
+#: commit that introduced RunConfig: a store filled by earlier releases
+#: must keep hitting, so these may never move
+CONFIG_VARIANTS = {
+    "default": RunConfig(),
+    "build-seed0": RunConfig(faults=FaultPlan.parse("build:0.3", seed=0)),
+    "build-seed1": RunConfig(faults=FaultPlan.parse("build:0.3", seed=1)),
+    "submit-seed0": RunConfig(faults=FaultPlan.parse("submit:0.2", seed=0)),
+    "retry5": RunConfig(retry=RetryPolicy(max_attempts=5)),
+    "watchdog": RunConfig(watchdog=WatchdogSpec(run=9.0)),
+    "drain3": RunConfig(drain_after=3),
+}
+GOLDEN_CONFIG_DIGESTS = {
+    "default":
+        "90d076d02c0bfc8eacc90697bb815581afa054cb49204c5487d90c345a4fe89e",
+    "build-seed0":
+        "3b8a5f651b1d6a32353a5707b149010201b2dea4747f29b0679cc29816c58b84",
+    "build-seed1":
+        "18f2c1dd4cb8f8b1d9bd77a8aa2cebf9a1990268b2abe49ce87d29a0d33bd9c7",
+    "submit-seed0":
+        "1c0dae6264ae4e6916d1a997a59886d8dee7da672cae798c3ec72b0ac06fa296",
+    "retry5":
+        "bbbb87708e232b6e3f0aa5a5abf7e36381b1de4b7bac6d99e6a414fcb43b7cd6",
+    "watchdog":
+        "a2fdf49336746149f8da39489dde385349df2eba36c1dc3cd67c594b21b3a67c",
+    "drain3":
+        "6d2865684b0ef09e85ec368f570b18e7e9138206d072498a4517b7f454c72495",
+}
+
+
+def test_run_config_fingerprint_goldens():
+    assert {name: config.fingerprint()
+            for name, config in CONFIG_VARIANTS.items()} == \
+        GOLDEN_CONFIG_DIGESTS
+
+
+def test_run_config_fingerprint_ignores_how_the_campaign_runs():
+    """Policy, workers, batching and artifact paths must not invalidate."""
+    base = RunConfig().fingerprint()
+    assert RunConfig(policy="async", workers=8, journal_batch=16,
+                     journal="j.jsonl", trace="t.jsonl", metrics=True,
+                     durability="degrade").fingerprint() == base
+    # speculation hashes its threshold, from either spelling
+    flag = RunConfig(speculation=True, straggler_factor=1.5).fingerprint()
+    assert flag != base
+    assert flag == RunConfig(
+        speculation=SpeculationPolicy(straggler_factor=1.5)).fingerprint()
+
+
 def test_changed_fault_injection_invalidates():
     """The case_fingerprint blind spot: --inject-faults must invalidate."""
-    keys = {
-        run_config_fingerprint(),
-        run_config_fingerprint(faults=FaultPlan.parse("build:0.3", seed=0)),
-        run_config_fingerprint(faults=FaultPlan.parse("build:0.3", seed=1)),
-        run_config_fingerprint(faults=FaultPlan.parse("submit:0.2", seed=0)),
-        run_config_fingerprint(retry=RetryPolicy(max_attempts=5)),
-        run_config_fingerprint(watchdog_spec=WatchdogSpec(run=9.0)),
-        run_config_fingerprint(drain_after=3),
-    }
+    keys = {config.fingerprint() for config in CONFIG_VARIANTS.values()}
     assert len(keys) == 7  # every knob lands in the key, all distinct
 
 
@@ -304,32 +345,31 @@ def test_content_address_is_deterministic(name, num_tasks, opts, spec):
     drain=st.one_of(st.none(), st.integers(min_value=1, max_value=9)),
 )
 def test_run_config_fingerprint_is_deterministic(max_attempts, seed, drain):
-    a = run_config_fingerprint(
+    a = RunConfig(
         retry=RetryPolicy(max_attempts=max_attempts, seed=seed),
         drain_after=drain,
-    )
-    b = run_config_fingerprint(
+    ).fingerprint()
+    b = RunConfig(
         retry=RetryPolicy(max_attempts=max_attempts, seed=seed),
         drain_after=drain,
-    )
+    ).fingerprint()
     assert a == b
-    assert a != run_config_fingerprint(
+    assert a != RunConfig(
         retry=RetryPolicy(max_attempts=max_attempts + 1, seed=seed),
         drain_after=drain,
-    )
+    ).fingerprint()
 
 
 SUBPROCESS_KEY = """
 import sys
 sys.path.insert(0, {src!r})
-from repro.runner.executor import Executor
-from repro.runner.resilience import run_config_fingerprint
+from repro.runner.executor import Executor, RunConfig
 from repro.runner.results import CaseResultStore
 sys.path.insert(0, {here!r})
 from tests.runner.test_resultstore import Beta
 store = CaseResultStore({store!r})
 case = Executor().expand_cases([Beta], "archer2")[0]
-print(store.key_for(case, run_config_fingerprint()))
+print(store.key_for(case, RunConfig().fingerprint()))
 """
 
 
@@ -350,7 +390,7 @@ def test_key_stable_across_process_restarts(tmp_path):
         )
         keys.add(out.stdout.strip())
     local = CaseResultStore(str(tmp_path / "local")).key_for(
-        _case(), run_config_fingerprint())
+        _case(), RunConfig().fingerprint())
     keys.add(local)
     assert len(keys) == 1, f"key unstable across processes: {keys}"
 
