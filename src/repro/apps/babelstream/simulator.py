@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.apps.babelstream.kernels import KERNELS, StreamArrays, StreamKernels
-from repro.machine.clock import DeterministicRNG
+from repro.machine.clock import lognormal_factors
 from repro.machine.progmodel import (
     ModelEfficiency,
     ProgrammingModelDB,
@@ -126,13 +126,13 @@ class BabelStreamRun:
                 profile,
                 bandwidth_efficiency=eff.factor * _KERNEL_FACTOR[kname],
             )
-            times = []
-            for rep in range(self.num_times):
-                rng = DeterministicRNG(
-                    "babelstream", self.seed_context, self.model,
-                    self.compiler, kname, n, rep,
+            times = [
+                base * factor
+                for factor in lognormal_factors(
+                    0.015, self.num_times, "babelstream", self.seed_context,
+                    self.model, self.compiler, kname, n,
                 )
-                times.append(base * rng.lognormal_factor(0.015))
+            ]
             tmin, tmax = min(times), max(times)
             tavg = sum(times) / len(times)
             total += sum(times)

@@ -156,30 +156,26 @@ class CsrOperator(_OperatorBase):
 
     @staticmethod
     def _assemble(problem: Problem) -> sp.csr_matrix:
-        # assemble via the matrix-free operator's action on identity-ish
-        # structure: build with diags of the 27-point stencil
-        shape = problem.shape
-        eye = [sp.identity(n, format="csr") for n in shape]
-
-        def shift(n: int, k: int) -> sp.csr_matrix:
-            return sp.diags([1.0], [k], shape=(n, n), format="csr")
-
-        terms = []
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for dz in (-1, 0, 1):
-                    coef = 26.0 if (dx, dy, dz) == (0, 0, 0) else -1.0
-                    terms.append(
-                        coef
-                        * sp.kron(
-                            sp.kron(shift(shape[0], dx), shift(shape[1], dy)),
-                            shift(shape[2], dz),
-                        )
-                    )
-        matrix = terms[0]
-        for t in terms[1:]:
-            matrix = matrix + t
-        return matrix.tocsr()
+        # row i's neighbours, in lexicographic (dx, dy, dz) order: with
+        # C-order grid indexing that order is ascending column index, so
+        # dropping the out-of-bounds ones leaves sorted CSR rows
+        offsets = np.array([(dx, dy, dz) for dx in (-1, 0, 1)
+                            for dy in (-1, 0, 1) for dz in (-1, 0, 1)])
+        coords = np.unravel_index(np.arange(problem.n), problem.shape)
+        inside = np.ones((problem.n, len(offsets)), dtype=bool)
+        columns = np.zeros((problem.n, len(offsets)), dtype=np.int64)
+        for axis, extent in enumerate(problem.shape):
+            pos = coords[axis][:, None] + offsets[:, axis]
+            inside &= (pos >= 0) & (pos < extent)
+            columns = columns * extent + pos
+        coef = np.where((offsets == 0).all(axis=1), 26.0, -1.0)
+        indptr = np.zeros(problem.n + 1, dtype=np.int32)
+        np.cumsum(inside.sum(axis=1), out=indptr[1:])
+        return sp.csr_matrix(
+            (np.broadcast_to(coef, inside.shape)[inside],
+             columns[inside].astype(np.int32), indptr),
+            shape=(problem.n, problem.n),
+        )
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         self.apply_count += 1

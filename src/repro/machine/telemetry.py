@@ -24,7 +24,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.machine.clock import DeterministicRNG
+from repro.machine.clock import lognormal_factors
 from repro.systems.hardware import NodeSpec
 
 __all__ = ["PowerModel", "TelemetrySample", "TelemetryTrace", "EnergyReport",
@@ -172,9 +172,8 @@ def capture_telemetry(
     times = np.linspace(0.0, duration_s, n)
     power = PowerModel(node)
     samples = []
-    for i, t in enumerate(times):
-        rng = DeterministicRNG("telemetry", seed_context, i)
-        wiggle = rng.lognormal_factor(0.05)
+    wiggles = lognormal_factors(0.05, n, "telemetry", seed_context)
+    for t, wiggle in zip(times, wiggles):
         m = min(mem_util * wiggle, 1.0)
         c = min(compute_util * wiggle, 1.0)
         net = min(comm_fraction * (num_nodes > 1) * wiggle * 4, 1.0)

@@ -382,7 +382,7 @@ class Concretizer:
         """Install order: dependencies before dependents."""
         graph = nx.DiGraph()
         for node in concrete.traverse():
-            graph.add_node(node.name, spec=node)
+            graph.add_node(node.name)
             for dep in node.dependencies.values():
                 graph.add_edge(node.name, dep.name)
         order = list(nx.topological_sort(graph.reverse()))

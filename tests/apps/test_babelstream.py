@@ -14,6 +14,7 @@ from repro.apps.babelstream.simulator import (
     BabelStreamRun,
     default_array_size,
 )
+from repro.machine import clock
 from repro.machine.progmodel import UnsupportedModelError
 from repro.systems.registry import get_system
 
@@ -132,6 +133,21 @@ class TestSimulator:
         results, _ = BabelStreamRun(node_of("archer2"), "omp").execute()
         for r in results:
             assert r.min_seconds <= r.avg_seconds <= r.max_seconds
+
+    def test_rep_noise_is_batched(self, monkeypatch):
+        """A run's 5 x 100 rep timings come from batched draws, not from a
+        ``DeterministicRNG`` (a numpy Generator) per rep."""
+        constructed = []
+        original = clock.DeterministicRNG.__init__
+
+        def counting_init(self, *parts):
+            constructed.append(parts)
+            original(self, *parts)
+
+        monkeypatch.setattr(clock.DeterministicRNG, "__init__", counting_init)
+        results, _ = BabelStreamRun(node_of("archer2"), "omp").execute()
+        assert len(results) == len(KERNELS)
+        assert constructed == []
 
 
 class TestBenchmarkClass:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from repro.apps.hpcg.cg import conjugate_gradient
@@ -20,6 +21,48 @@ from repro.systems.registry import get_system
 
 
 PROBLEM = Problem(12, 12, 12)
+
+
+def kron_assembly(problem):
+    """The reference CSR assembly: the sum of the 27 stencil terms, each a
+    Kronecker product of per-axis shift matrices."""
+    shape = problem.shape
+
+    def shift(n, k):
+        return sp.diags([1.0], [k], shape=(n, n), format="csr")
+
+    terms = []
+    for dx in (-1, 0, 1):
+        for dy in (-1, 0, 1):
+            for dz in (-1, 0, 1):
+                coef = 26.0 if (dx, dy, dz) == (0, 0, 0) else -1.0
+                terms.append(
+                    coef
+                    * sp.kron(
+                        sp.kron(shift(shape[0], dx), shift(shape[1], dy)),
+                        shift(shape[2], dz),
+                    )
+                )
+    matrix = terms[0]
+    for t in terms[1:]:
+        matrix = matrix + t
+    return matrix.tocsr()
+
+
+class TestCsrAssembly:
+    @pytest.mark.parametrize(
+        "shape", [(12, 12, 12), (20, 20, 20), (3, 7, 5), (2, 3, 1), (1, 1, 1)]
+    )
+    def test_bit_identical_to_kron_reference(self, shape):
+        problem = Problem(*shape)
+        got = CsrOperator(problem).matrix
+        want = kron_assembly(problem)
+        assert got.shape == want.shape
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype, name
+            assert np.array_equal(a, b), name
+        assert got.has_sorted_indices and want.has_sorted_indices
 
 
 class TestOperators:

@@ -1,11 +1,21 @@
 """Tests for the roofline model, programming-model DB, clock, interconnect."""
 
 import math
+import sys
+import threading
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.machine.clock import DeterministicRNG, perturb, stable_seed
+from repro.machine import clock
+from repro.machine.clock import (
+    BATCH_BREAK_EVEN,
+    DeterministicRNG,
+    lognormal_factors,
+    perturb,
+    stable_seed,
+)
 from repro.machine.interconnect import INTERCONNECTS, InterconnectModel
 from repro.machine.progmodel import (
     PROGRAMMING_MODELS,
@@ -41,6 +51,91 @@ class TestClock:
     def test_perturb_deterministic(self):
         assert perturb(100.0, 0.02, "k") == perturb(100.0, 0.02, "k")
         assert perturb(100.0, 0.02, "k") != perturb(100.0, 0.02, "l")
+
+
+def _per_draw(sigma, count, *parts):
+    return [DeterministicRNG(*parts, i).lognormal_factor(sigma)
+            for i in range(count)]
+
+
+class TestBatchedDraws:
+    """``lognormal_factors`` re-implements numpy's SeedSequence and PCG64
+    seeding; every draw must equal the per-draw reference exactly."""
+
+    @pytest.mark.parametrize("count", sorted({
+        0, 1, BATCH_BREAK_EVEN - 1, BATCH_BREAK_EVEN, 100, 600,
+    }))
+    def test_equals_per_draw_reference(self, count):
+        parts = ("babelstream", "archer2:compute", "omp", "gcc", "Triad",
+                 1 << 29)
+        assert lognormal_factors(0.015, count, *parts) \
+            == _per_draw(0.015, count, *parts)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        parts=st.lists(st.one_of(st.text(max_size=8), st.integers()),
+                       max_size=4),
+        count=st.integers(BATCH_BREAK_EVEN, 3 * BATCH_BREAK_EVEN),
+        sigma=st.floats(0.001, 0.5),
+    )
+    def test_random_parts(self, parts, count, sigma):
+        assert lognormal_factors(sigma, count, *parts) \
+            == _per_draw(sigma, count, *parts)
+
+    def test_seeds_of_one_entropy_word(self):
+        # sha256 practically never yields a seed below 2**32, so the
+        # single-entropy-word path is checked on the seeds directly
+        seeds = [0, 1, 2**31, 2**32 - 1, 2**32, 2**64 - 1] + [
+            int(s) for s in
+            np.random.default_rng(3).integers(0, 2**32, 50, dtype=np.uint64)
+        ]
+        expected = [
+            float(np.exp(np.random.default_rng(s).normal(0.0, 0.05)))
+            for s in seeds
+        ]
+        assert clock._seeded_lognormal_factors(0.05, seeds) == expected
+
+    def test_seed_words_match_seed_sequence(self):
+        seeds = [0, 7, 2**32 - 1, 2**32, stable_seed("x", 1), 2**64 - 1]
+        assert clock._seed_words(seeds) == [
+            np.random.SeedSequence(s).generate_state(4, np.uint64).tolist()
+            for s in seeds
+        ]
+
+    def test_threads_drawing_at_once(self):
+        # more threads than cores, switching every few microseconds: a
+        # generator shared between threads could be re-seeded by one
+        # thread between another's seeding and its draw
+        jobs = [("telemetry", f"job{k}") for k in range(4)]
+        expected = {job: _per_draw(0.05, 600, *job) for job in jobs}
+        barrier = threading.Barrier(len(jobs))
+        got, generators, errors = {}, {}, []
+
+        def draw(job):
+            try:
+                barrier.wait()
+                got[job] = [lognormal_factors(0.05, 600, *job)
+                            for _ in range(5)]
+                generators[job] = clock._thread.generator
+            except Exception as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=draw, args=(job,)) for job in jobs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        for job in jobs:
+            assert got[job] == [expected[job]] * 5
+        # re-seeding is only safe on a generator no other thread holds
+        assert len({id(g) for g in generators.values()}) == len(jobs)
 
 
 class TestRoofline:

@@ -195,6 +195,23 @@ class TestTable3:
         assert mpi_name in s
         assert str(s[mpi_name].version) == mpi_ver
 
+    #: install order of each row's DAG, pinned when ``build_order`` stopped
+    #: carrying every Spec on its graph nodes
+    BUILD_ORDER = {
+        "archer2": ["cray-mpich", "python", "hpgmg"],
+        "cosma8": ["mvapich2", "python", "hpgmg"],
+        "csd3": ["openmpi", "python", "hpgmg"],
+        "isambard-macs": ["openmpi", "python", "hpgmg"],
+    }
+
+    @pytest.mark.parametrize("system", sorted(EXPECTED))
+    def test_build_order(self, system):
+        conc = Concretizer(env=system_environment(system))
+        s = conc.concretize("hpgmg%gcc")
+        order = conc.build_order(s)
+        assert [n.name for n in order] == self.BUILD_ORDER[system]
+        assert order[-1] is s
+
 
 class TestDeterminismAndIdempotence:
     def test_same_input_same_hash(self):

@@ -33,17 +33,15 @@ from benchmarks.test_incremental_campaign import (
 )
 from tests.postprocess.test_throughput_smoke import (
     REGRESSION_ALLOWANCE,
-    _baseline,
+    committed_baseline,
 )
 
 
 def _floors():
-    committed = _baseline("runner")
-    cold = committed.get("incremental_cold_cases_per_second")
-    warm = committed.get("incremental_warm_cases_per_second")
-    return (
-        (cold / REGRESSION_ALLOWANCE) if cold else None,
-        (warm / REGRESSION_ALLOWANCE) if warm else None,
+    return tuple(
+        committed_baseline("runner", key) / REGRESSION_ALLOWANCE
+        for key in ("incremental_cold_cases_per_second",
+                    "incremental_warm_cases_per_second")
     )
 
 
@@ -75,8 +73,8 @@ class TestIncrementalSmoke:
                 for key in ("cold_rate", "warm_rate", "speedup"):
                     best[key] = max(best[key], run[key])
             if (
-                (cold_floor is None or best["cold_rate"] >= cold_floor)
-                and (warm_floor is None or best["warm_rate"] >= warm_floor)
+                best["cold_rate"] >= cold_floor
+                and best["warm_rate"] >= warm_floor
                 and best["speedup"] >= WARM_SPEEDUP_FLOOR
             ):
                 break
@@ -105,11 +103,9 @@ class TestIncrementalSmoke:
         )
 
     def test_cold_rate_vs_committed_baseline(self, smoke):
-        committed = _baseline("runner").get(
-            "incremental_cold_cases_per_second"
+        committed = committed_baseline(
+            "runner", "incremental_cold_cases_per_second"
         )
-        if not committed:
-            pytest.skip("no committed incremental baseline")
         floor = committed / REGRESSION_ALLOWANCE
         assert smoke["cold_rate"] >= floor, (
             f"incremental cold throughput regressed "
@@ -118,11 +114,9 @@ class TestIncrementalSmoke:
         )
 
     def test_warm_rate_vs_committed_baseline(self, smoke):
-        committed = _baseline("runner").get(
-            "incremental_warm_cases_per_second"
+        committed = committed_baseline(
+            "runner", "incremental_warm_cases_per_second"
         )
-        if not committed:
-            pytest.skip("no committed incremental baseline")
         floor = committed / REGRESSION_ALLOWANCE
         assert smoke["warm_rate"] >= floor, (
             f"incremental warm throughput regressed "

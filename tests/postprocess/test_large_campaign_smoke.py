@@ -17,13 +17,14 @@ import pytest
 from benchmarks.test_large_campaign import SmokeProbe, fleet_site, run_fleet
 from tests.postprocess.test_throughput_smoke import (
     REGRESSION_ALLOWANCE,
-    _baseline,
+    committed_baseline,
 )
 
 
 def _floor():
-    committed = _baseline("runner").get("large_campaign_smoke_cases_per_second")
-    return (committed / REGRESSION_ALLOWANCE) if committed else None
+    return committed_baseline(
+        "runner", "large_campaign_smoke_cases_per_second"
+    ) / REGRESSION_ALLOWANCE
 
 
 class TestFleetCampaignSmoke:
@@ -43,7 +44,7 @@ class TestFleetCampaignSmoke:
             )
             if best is None or rate > best[0]:
                 best = (rate, elapsed, report)
-            if floor is None or best[0] >= floor:
+            if best[0] >= floor:
                 break
         # drop the 5k-case campaign state before the timing-sensitive
         # gates that run after this one
@@ -56,11 +57,9 @@ class TestFleetCampaignSmoke:
         assert report.success
 
     def test_serial_rate_vs_committed_baseline(self, smoke):
-        committed = _baseline("runner").get(
-            "large_campaign_smoke_cases_per_second"
+        committed = committed_baseline(
+            "runner", "large_campaign_smoke_cases_per_second"
         )
-        if not committed:
-            pytest.skip("no committed large-campaign baseline")
         rate, _, _ = smoke
         floor = committed / REGRESSION_ALLOWANCE
         assert rate >= floor, (

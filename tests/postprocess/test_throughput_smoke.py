@@ -41,12 +41,31 @@ REGRESSION_ALLOWANCE = 2.0
 SMOKE_INGEST_FLOOR = 2.5
 
 
-def _baseline(name):
+def committed_baseline(name, key):
+    """The committed ``key`` of ``BENCH_<name>.json``.
+
+    A gate whose baseline is missing fails, naming the file and the key:
+    skipping would switch the gate off without anyone noticing.
+    """
     path = os.path.join(REPO_ROOT, f"BENCH_{name}.json")
-    if not os.path.exists(path):  # pragma: no cover - fresh checkout
-        return {}
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            value = json.load(fh).get(key)
+    except FileNotFoundError:
+        value = None
+    if not value:
+        pytest.fail(f"BENCH_{name}.json has no committed {key!r} baseline",
+                    pytrace=False)
+    return value
+
+
+def test_missing_baseline_key_fails():
+    with pytest.raises(pytest.fail.Exception, match=(
+        r"BENCH_runner\.json has no committed 'no_such_key' baseline"
+    )):
+        committed_baseline("runner", "no_such_key")
+    with pytest.raises(pytest.fail.Exception, match=r"BENCH_absent\.json"):
+        committed_baseline("absent", "async_cases_per_second")
 
 
 class TestIngestSmoke:
@@ -68,11 +87,9 @@ class TestIngestSmoke:
         )
 
     def test_ingest_throughput_vs_committed_baseline(self, smoke):
-        committed = _baseline("postprocess").get(
-            "smoke_ingest_vectorized_rows_per_second"
+        committed = committed_baseline(
+            "postprocess", "smoke_ingest_vectorized_rows_per_second"
         )
-        if not committed:
-            pytest.skip("no committed BENCH_postprocess.json baseline")
         floor = committed / REGRESSION_ALLOWANCE
         assert smoke["vec_rate"] >= floor, (
             f"ingest regressed >{REGRESSION_ALLOWANCE}x: "
@@ -114,9 +131,7 @@ class TestRunnerSmoke:
 
     def test_async_rate_vs_committed_baseline(self, campaign):
         _, parallel = campaign
-        committed = _baseline("runner").get("async_cases_per_second")
-        if not committed:
-            pytest.skip("no committed BENCH_runner.json baseline")
+        committed = committed_baseline("runner", "async_cases_per_second")
         rate = parallel["n_cases"] / parallel["elapsed"]
         floor = committed / REGRESSION_ALLOWANCE
         assert rate >= floor, (
