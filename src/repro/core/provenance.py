@@ -71,50 +71,6 @@ class RunProvenance:
             stats.as_dict() if hasattr(stats, "as_dict") else dict(stats)
         )
 
-    def attach_resilience(
-        self,
-        report: Any = None,
-        faults: Any = None,
-        retry: Any = None,
-        journal_path: Optional[str] = None,
-        resumed: bool = False,
-    ) -> None:
-        """Record the campaign's resilience configuration and outcome."""
-        info: Dict[str, Any] = {
-            "journal": journal_path,
-            "resumed_from_journal": bool(resumed),
-        }
-        if faults is not None:
-            info["fault_spec"] = faults.format()
-            info["fault_seed"] = faults.seed
-            info["faults_fired"] = faults.fired
-        if retry is not None:
-            info["retry"] = {
-                "max_attempts": retry.max_attempts,
-                "backoff_base": retry.backoff_base,
-                "backoff_factor": retry.backoff_factor,
-                "backoff_max": retry.backoff_max,
-                "jitter": retry.jitter,
-                "seed": retry.seed,
-            }
-        if report is not None:
-            info["aborted"] = report.aborted
-            info["cases_retried"] = len(report.retried)
-            info["cases_resumed"] = len(report.resumed)
-            info["cases_quarantined"] = len(report.quarantined)
-            # slow-fault accounting (watchdog / speculation / drains)
-            if getattr(report, "watchdog", None) is not None:
-                info["watchdog"] = report.watchdog
-            if getattr(report, "hung_attempts", 0):
-                info["hung_attempts"] = report.hung_attempts
-            speculated = getattr(report, "speculated", None)
-            if speculated:
-                info["cases_speculated"] = len(speculated)
-                info["speculation_wins"] = len(report.speculation_wins)
-            if getattr(report, "drained_nodes", None):
-                info["drained_nodes"] = list(report.drained_nodes)
-        self.resilience = info
-
     def attach_metrics(
         self, snapshot: Any, trace_path: Optional[str] = None,
         live_status: Optional[str] = None,
@@ -142,13 +98,6 @@ class RunProvenance:
         """Record result-store accounting (``ResultStoreStats`` or dict)."""
         self.result_cache = (
             stats.as_dict() if hasattr(stats, "as_dict") else dict(stats)
-        )
-
-    def attach_health(self, tracker: Any) -> None:
-        """Record the node-health ledger (a ``HealthTracker`` or dict)."""
-        self.health = (
-            tracker.as_dict() if hasattr(tracker, "as_dict")
-            else dict(tracker)
         )
 
     def add_case(self, result: CaseResult) -> None:

@@ -205,8 +205,6 @@ class CampaignService:
         job_opts = _parse_job_options(spec.job_options)
         if spec.max_retries < 0:
             raise CampaignConfigError("--max-retries must be >= 0")
-        if resume and not spec.journal:
-            raise CampaignConfigError("--resume requires --journal PATH")
         warnings: List[str] = []
         result_store = self._probe_result_store(spec, warnings)
         faults = self._parse_faults(spec)

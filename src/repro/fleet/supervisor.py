@@ -33,6 +33,7 @@ deterministically inside one process.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
@@ -122,7 +123,7 @@ class _Running:
     state: CampaignState
     spec: CampaignSpec
     prepared: PreparedCampaign
-    journal: Optional[CampaignJournal]
+    journal: CampaignJournal
     cursor: int = 0
     slices: int = 0
     zombie: bool = False  # lease-expire fired: stop renewing, let it lapse
@@ -270,13 +271,11 @@ class FleetSupervisor:
             self.metrics.counter("fleet.campaigns.claimed").add()
             try:
                 spec = CampaignSpec.from_doc(state.spec)
-                if spec.journal is None:
+                if not spec.journal:
                     # fleet campaigns are always journaled -- the journal
                     # IS the resume cursor -- so an unjournaled spec gets
                     # a deterministic per-campaign path beside the queue
                     spec.journal = f"{self.queue.path}.journals/{state.id}.jsonl"
-                    import os
-
                     os.makedirs(os.path.dirname(spec.journal), exist_ok=True)
                 prepared = self.service.prepare(spec)
             except CampaignConfigError as exc:
@@ -290,9 +289,7 @@ class FleetSupervisor:
                     id=state.id, status="failed", detail=str(exc)
                 )
                 continue
-            journal = (
-                CampaignJournal(spec.journal) if spec.journal else None
-            )
+            journal = CampaignJournal(spec.journal)
             running[state.id] = _Running(
                 state=state,
                 spec=spec,
@@ -329,7 +326,7 @@ class FleetSupervisor:
 
     @staticmethod
     def _journaled_prefix(
-        prepared: PreparedCampaign, journal: Optional[CampaignJournal]
+        prepared: PreparedCampaign, journal: CampaignJournal
     ) -> int:
         """The resume cursor: leading cases the journal already covers.
 
@@ -339,8 +336,6 @@ class FleetSupervisor:
         because journal appends happen in deterministic serial order
         under every execution policy.
         """
-        if journal is None:
-            return 0
         try:
             done = journal.load()
         except FileNotFoundError:
@@ -360,16 +355,12 @@ class FleetSupervisor:
         report: FleetReport,
     ) -> None:
         rt = running[cid]
-        if rt.journal is not None and rt.cursor >= len(rt.prepared.cases):
+        if rt.cursor >= len(rt.prepared.cases):
             # reclaimed a campaign whose journal already covers every
             # case (the predecessor died after its last slice landed)
             self._finalize(cid, rt, running, report)
             return
-        chunk = (
-            rt.prepared.cases[rt.cursor:rt.cursor + self.slice_cases]
-            if rt.journal is not None
-            else rt.prepared.cases  # unjournaled: all-or-nothing
-        )
+        chunk = rt.prepared.cases[rt.cursor:rt.cursor + self.slice_cases]
         crash = lease_expire = None
         if self.faults is not None:
             crash = self.faults.check("supervisor-crash", cid)
@@ -379,8 +370,7 @@ class FleetSupervisor:
             chunk = chunk[: max(1, len(chunk) // 2)]
         try:
             run_report = rt.prepared.run(
-                cases=chunk, resume=rt.journal is not None,
-                live=self.live,
+                cases=chunk, resume=True, live=self.live,
             )
         except CampaignAborted as exc:
             # backstop bulkhead: run_cases converts aborts into
@@ -410,8 +400,8 @@ class FleetSupervisor:
         self._note_live(cid, rt, "running")
         if self.on_slice is not None:
             self.on_slice(cid, rt.slices)
-        if rt.journal is None or rt.cursor >= len(rt.prepared.cases):
-            self._finalize(cid, rt, running, report, run_report=run_report)
+        if rt.cursor >= len(rt.prepared.cases):
+            self._finalize(cid, rt, running, report)
         elif lease_expire is not None:
             # the lease lapses un-renewed: this supervisor walks away
             # from the campaign mid-flight (a simulated hang) and the
@@ -436,25 +426,17 @@ class FleetSupervisor:
         rt: _Running,
         running: Dict[str, _Running],
         report: FleetReport,
-        run_report: Optional[Any] = None,
     ) -> None:
         """Every case accounted for: complete + feed the timeline."""
-        passed = failed = 0
-        journal_records: List[Dict[str, Any]] = []
-        if rt.journal is not None:
-            # count from the journal, not in-memory reports: cases run
-            # by a crashed predecessor supervisor count too
-            done = rt.journal.load()
-            journal_records = list(done.values())
-            for record in journal_records:
-                if record.get("status") in COMPLETED_STATUSES:
-                    passed += 1
-                else:
-                    failed += 1
-            rt.journal.compact()
-        elif run_report is not None:
-            passed = sum(1 for r in run_report.results if r.passed)
-            failed = len(run_report.results) - passed
+        # count from the journal, not in-memory reports: cases run by a
+        # crashed predecessor supervisor count too
+        journal_records = list(rt.journal.load().values())
+        passed = sum(
+            1 for record in journal_records
+            if record.get("status") in COMPLETED_STATUSES
+        )
+        failed = len(journal_records) - passed
+        rt.journal.compact()
         status = "completed" if failed == 0 else "failed"
         self.metrics.counter(f"fleet.campaigns.{status}").add()
         self.queue.complete(

@@ -2,9 +2,9 @@
 
 ``repro.faults`` makes the *scheduler* lie on command; this module makes
 the *disk* lie.  Every durable artifact the runner produces -- campaign
-journal, trace, perflogs, the case-result store's objects and pack, the
-postprocess ingest cache -- funnels its raw ``os.open/write/fsync/
-replace`` calls through one :class:`FaultyIO` shim, which consults a
+journal, trace, perflogs, the case-result store's objects, pack and
+index -- funnels its raw ``os.open/write/fsync/replace`` calls through
+one :class:`FaultyIO` shim, which consults a
 :class:`repro.faults.FaultPlan` *per operation* (``FaultPlan.check_io``)
 and acts out five storage pathologies:
 
@@ -106,7 +106,7 @@ class FaultyIO:
 
     One instance serves a whole campaign; callers tag each operation
     with the *artifact label* (``journal``, ``trace``, ``perflog``,
-    ``store``, ``pack``, ``index``, ``ingest``) that the fault-spec
+    ``store``, ``pack``, ``index``) that the fault-spec
     globs select on.  With no matching clause armed, every method is a
     thin wrapper over the plain os calls.
     """

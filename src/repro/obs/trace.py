@@ -19,10 +19,8 @@ Model
   given seed is *byte-identical* across serial, async and speculative
   execution (the trace is itself a reproducibility artifact).  Each case
   track starts at its own ``t=0``; the campaign track lays cases
-  end-to-end in the deterministic serial consumption order.  Optional
-  *wall-clock* timestamps (``Tracer(wall=True)``) ride along as ``w0`` /
-  ``w1`` for profiling the framework itself -- they are excluded by
-  default precisely because wall time is not reproducible.
+  end-to-end in the deterministic serial consumption order.  Wall-clock
+  time is never recorded: it is not reproducible.
 * A :class:`SpanRecorder` collects one case's spans in memory (a
   nesting stack assigns parents); the :class:`Tracer` flushes whole
   recorders to the crash-safe JSONL trace file in the deterministic
@@ -48,7 +46,6 @@ from __future__ import annotations
 
 import json
 import threading
-import time as _time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, Union
 
@@ -107,16 +104,13 @@ class Span:
     #: recorder-local id / parent id (remapped to global ids at flush)
     local_id: int = 0
     parent_id: Optional[int] = None
-    #: optional wall-clock timestamps (Tracer(wall=True) only)
-    w0: Optional[float] = None
-    w1: Optional[float] = None
 
     @property
     def duration(self) -> float:
         return self.t1 - self.t0
 
     def as_record(self, span_id: int, parent: Optional[int]) -> Dict[str, Any]:
-        record: Dict[str, Any] = {
+        return {
             "kind": "span",
             "id": span_id,
             "parent": parent,
@@ -127,10 +121,6 @@ class Span:
             "t1": self.t1,
             "attrs": self.attrs,
         }
-        if self.w0 is not None:
-            record["w0"] = self.w0
-            record["w1"] = self.w1
-        return record
 
 
 class SpanRecorder:
@@ -143,9 +133,8 @@ class SpanRecorder:
     are mapped onto the case timeline.
     """
 
-    def __init__(self, track: str, wall: bool = False):
+    def __init__(self, track: str):
         self.track = track
-        self.wall = wall
         self.spans: List[Span] = []
         self._stack: List[Span] = []
         self._next_local = 1
@@ -159,8 +148,6 @@ class SpanRecorder:
             local_id=self._next_local,
             parent_id=self._stack[-1].local_id if self._stack else None,
         )
-        if self.wall:
-            span.w0 = span.w1 = _time.time()
         self._next_local += 1
         self.spans.append(span)
         return span
@@ -188,8 +175,6 @@ class SpanRecorder:
         if t1 < span.t0:
             raise TraceError(f"span {span.name!r} ends before it starts")
         span.t1 = float(t1)
-        if self.wall:
-            span.w1 = _time.time()
         while self._stack:
             top = self._stack.pop()
             if top is span:
@@ -199,8 +184,6 @@ class SpanRecorder:
             # closes, so nesting containment survives every exit path
             if top.t1 < span.t1:
                 top.t1 = span.t1
-                if self.wall:
-                    top.w1 = span.w1
         return span
 
     def at_offset(self, offset: float) -> "_OffsetRecorder":
@@ -342,7 +325,6 @@ class Tracer:
     def __init__(
         self,
         path: Optional[Union[str, JsonlAppender]] = None,
-        wall: bool = False,
         sync: bool = True,
         batch: int = 1,
     ):
@@ -357,7 +339,6 @@ class Tracer:
             self.path = None
         if batch < 1:
             raise ValueError("batch must be >= 1")
-        self.wall = wall
         #: group-commit factor: records from this many flush() calls are
         #: coalesced into one append (one write + fsync).  ``1`` keeps
         #: the per-case crash-safety granularity; large campaigns trade
@@ -370,7 +351,7 @@ class Tracer:
         self._wrote_meta = False
         #: flush subscribers -- duck-typed objects with
         #: ``note_flush(path, lines)``, the mirror of the perflog
-        #: writer's ``note_append`` hook.  Each flushed batch of sealed
+        #: handler's append sinks.  Each flushed batch of sealed
         #: lines is fanned out in flush order (the deterministic result
         #: order), so a sink sees exactly the byte stream the trace file
         #: receives without subclassing the tracer.  A sink that raises
@@ -392,7 +373,7 @@ class Tracer:
     # -- recorders -----------------------------------------------------------
     def recorder(self, track: str) -> SpanRecorder:
         """A fresh recorder for one track (no shared state touched)."""
-        return SpanRecorder(track, wall=self.wall)
+        return SpanRecorder(track)
 
     # -- flush subscribers ---------------------------------------------------
     def add_sink(self, sink: Any) -> None:
@@ -400,7 +381,7 @@ class Tracer:
 
         ``sink.note_flush(path, items)`` is called with the trace path
         (``None`` for in-memory tracers) and every flushed batch, in
-        flush order.  The mirror of ``PerflogWriter.note_append``.  Each
+        flush order.  The mirror of ``PerflogHandler.add_sink``.  Each
         item is the decoded record dict when the tracer has it in hand
         (the live-flush hot path skips a re-parse + checksum round
         trip) and the raw sealed line otherwise (result-store blits);
@@ -448,7 +429,9 @@ class Tracer:
             "format": TRACE_FORMAT,
             "version": TRACE_VERSION,
             "clock": "simulated-seconds",
-            "wall": self.wall,
+            # spans carry simulated time only; the constant member keeps
+            # trace headers byte-identical across releases
+            "wall": False,
         }
 
     def flush(
@@ -565,9 +548,7 @@ def serialize_spans(recorder: SpanRecorder) -> List[Dict[str, Any]]:
     Local/parent ids are preserved -- they are recorder-relative, so a
     recorder rebuilt from these documents flushes to exactly the same
     trace records as the original (global ids are assigned at flush
-    time either way).  Wall-clock timestamps are dropped on purpose:
-    they are the one non-reproducible field, and a replayed span must
-    not resurrect a stale wall time as if it were fresh.
+    time either way).
     """
     docs: List[Dict[str, Any]] = []
     for span in recorder.spans:
@@ -638,11 +619,11 @@ def strip_replay_attrs(
     return out
 
 
-def as_tracer(value: Any, wall: bool = False) -> Optional[Tracer]:
+def as_tracer(value: Any) -> Optional[Tracer]:
     """Coerce CLI/API input (path | Tracer | None) to a Tracer."""
     if value is None or isinstance(value, Tracer):
         return value
-    return Tracer(value, wall=wall)
+    return Tracer(value)
 
 
 # --------------------------------------------------------------------------

@@ -38,9 +38,7 @@ With ``cache_dir`` set the manifest (JSON) and columns (``.npz``) are
 persisted, so a *separate process* -- e.g. the next ``repro-plot
 --cache-dir ...`` invocation in a CI loop -- starts warm.  The store is
 thread-safe and shared by the parallel reader
-(``read_perflogs(..., store=..., workers=N)``) and by the perflog
-writer's manifest hook (:class:`repro.runner.perflog.PerflogHandler`
-``store=``), which keeps entries warm *as the campaign writes them*.
+(``read_perflogs(..., store=..., workers=N)``).
 
 Incremental campaigns (``repro-bench --result-store``, DESIGN.md
 section 8) compose with this cache for free: a replayed case's perflog
@@ -55,12 +53,11 @@ whether a row was executed or replayed.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import os
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -71,7 +68,6 @@ from repro.runner.perflog import PERFLOG_FIELDS
 __all__ = ["PerflogStore", "StoreStats", "ManifestEntry"]
 
 _MANIFEST_VERSION = 1
-_HEADER_TEXT = "|".join(PERFLOG_FIELDS) + "\n"
 HEAD_PROBE_BYTES = 4096
 SEAM_PROBE_BYTES = 64
 
@@ -84,7 +80,7 @@ class StoreStats(HitStats):
     """Hit/miss accounting for the perflog ingest cache."""
 
     FIELDS = ("full_hits", "partial_hits", "hits", "misses",
-              "invalidations", "appends", "bytes_parsed", "bytes_reused",
+              "invalidations", "bytes_parsed", "bytes_reused",
               "rows_parsed", "rows_reused")
     RATES = ("hit_rate", "byte_reuse_rate")
     PREFIX = "ingest"
@@ -174,15 +170,8 @@ class PerflogStore:
         self.stats = StoreStats()
         self._table: Dict[str, ManifestEntry] = {}
         self._lock = threading.RLock()
-        #: optional FaultyIO shim the persisted-cache writes go through
-        self._io = None
         if cache_dir:
             os.makedirs(cache_dir, exist_ok=True)
-
-    def attach_io(self, io, label: str = "ingest") -> None:
-        """Route on-disk manifest writes through a :class:`FaultyIO` shim."""
-        self._io = io
-        self._io_label = label
 
     def __len__(self) -> int:
         with self._lock:
@@ -223,65 +212,6 @@ class PerflogStore:
     def invalidate(self, path: str) -> None:
         with self._lock:
             self._table.pop(self._key(path), None)
-
-    def note_append(self, path: str, lines: List[str],
-                    wrote_header: bool) -> None:
-        """Writer-side manifest hook (see ``PerflogHandler(store=...)``).
-
-        Called *after* ``lines`` (complete records, no newlines) were
-        appended to ``path``; keeps the manifest warm without re-reading
-        the bytes that were just written.  Any mismatch between the
-        manifest and the observed file (another writer, a partial write)
-        simply drops the entry -- the next read cold-parses.
-        """
-        block = "\n".join(lines) + "\n"
-        appended = (_HEADER_TEXT + block) if wrote_header else block
-        appended_bytes = appended.encode("utf-8")
-        key = self._key(path)
-        st = os.stat(path)
-        with self._lock:
-            entry = self._table.get(key)
-            if entry is None and not wrote_header:
-                return  # cold file: nothing to extend
-            pre_size = st.st_size - len(appended_bytes)
-            if entry is not None:
-                if entry.offset != pre_size:
-                    # out of sync (external writer): drop, reparse later
-                    self._table.pop(key, None)
-                    return
-                base_lineno = entry.n_lines + 1
-                cols, n_phys = parse_block(appended, path, base_lineno)
-                new_rows = _n_rows(cols)
-                entry.columns = _concat_columns(entry.columns, cols)
-                entry.n_lines += n_phys
-                entry.n_rows += new_rows
-                entry.offset = st.st_size
-                entry.size = st.st_size
-                entry.mtime_ns = st.st_mtime_ns
-                self._reseam(entry, appended_bytes)
-            else:
-                # brand-new file this handler just created
-                if pre_size != 0:
-                    return
-                cols, n_phys = parse_block(appended, path, 1)
-                head_len = min(len(appended_bytes), self.head_probe)
-                seam_len = min(len(appended_bytes), self.seam_probe)
-                entry = ManifestEntry(
-                    path=key,
-                    size=st.st_size,
-                    mtime_ns=st.st_mtime_ns,
-                    offset=st.st_size,
-                    n_lines=n_phys,
-                    n_rows=_n_rows(cols),
-                    head_len=head_len,
-                    head_sha=_sha(appended_bytes[:head_len]),
-                    seam_len=seam_len,
-                    seam_sha=_sha(appended_bytes[-seam_len:]),
-                    columns=cols,
-                )
-                self._table[key] = entry
-            self.stats.appends += 1
-            self._persist(key, entry)
 
     # -- internals -------------------------------------------------------------------
     def _read_with_entry(
@@ -387,16 +317,6 @@ class PerflogStore:
         if not self.cache_dir:
             return
         meta_path, cols_path = self._cache_paths(key)
-        if self._io is not None:
-            buf = io.BytesIO()
-            np.savez(buf, **entry.columns)
-            label = getattr(self, "_io_label", "ingest")
-            self._io.write_atomic(cols_path, buf.getvalue(), label,
-                                  sync=False)
-            meta = json.dumps(entry.meta_dict(), indent=1, sort_keys=True)
-            self._io.write_atomic(meta_path, meta.encode("utf-8"), label,
-                                  sync=False)
-            return
         tmp = cols_path + ".tmp"
         with open(tmp, "wb") as fh:
             np.savez(fh, **entry.columns)

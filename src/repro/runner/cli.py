@@ -186,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "artifact glob, e.g. 'torn:0.05@journal,"
                              "enospc:0.01' (I/O kinds: enospc, eio, torn, "
                              "bitrot, fsync-lie; targets: journal, trace, "
-                             "perflog, store, pack, index, ingest)")
+                             "perflog, store, pack, index)")
     parser.add_argument("--fault-seed", type=int, default=0, metavar="N",
                         help="seed for --inject-faults selection and "
                              "backoff jitter (default: 0)")
@@ -196,8 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "6.6): 'strict' fail-stops on any artifact "
                              "write failure, naming the artifact; "
                              "'degrade' finishes the campaign without the "
-                             "failing accelerator (result store, ingest "
-                             "cache, trace) and reports what was absorbed "
+                             "failing accelerator (result store, trace) "
+                             "and reports what was absorbed "
                              "-- journals and perflogs always fail-stop "
                              "(default: strict)")
     # ---- slow faults (DESIGN.md section 6.4) ----------------------------

@@ -131,17 +131,15 @@ class RunConfig:
     #: ``run`` budget is cancelled as HUNG (transient, hence retried), a
     #: build over its ``build`` budget fails the build stage
     watchdog: Optional[Union[str, WatchdogSpec, Watchdog]] = None
-    #: ``True`` or a :class:`SpeculationPolicy`: launch one duplicate of
-    #: any case slower than ``straggler_factor`` x the running median of
-    #: completed peers; only the accepted attempt is perflogged/journaled
-    speculation: Optional[Union[bool, SpeculationPolicy]] = None
+    #: launch one duplicate of any case slower than ``straggler_factor``
+    #: x the running median of completed peers; only the accepted
+    #: attempt is perflogged/journaled
+    speculation: bool = False
     straggler_factor: float = 2.0
     #: arm a campaign-wide :class:`HealthTracker`: nodes blamed for this
     #: many fault events are softly drained from allocation; the state
     #: is journaled and restored on ``resume``
     drain_after: Optional[int] = None
-    #: an explicit tracker to share or pre-seed (overrides drain_after)
-    health: Optional[HealthTracker] = None
     # -- observability (DESIGN.md section 7) ------------------------------
     #: a path or :class:`~repro.obs.trace.Tracer`: stream spans to a
     #: crash-safe JSONL trace, flushed per case in result order, on the
@@ -165,8 +163,8 @@ class RunConfig:
     # -- storage faults (DESIGN.md section 6.6) ---------------------------
     #: ``'strict'`` fail-stops on an artifact write failure with a
     #: :class:`DurabilityError` naming it; ``'degrade'`` drops the optional
-    #: ones (result store, ingest cache, trace) and keeps running.  The
-    #: journal and perflogs fail-stop under either (perflogs retry first)
+    #: ones (result store, trace) and keeps running.  The journal and
+    #: perflogs fail-stop under either (perflogs retry first)
     durability: str = "strict"
     # -- live analytics (DESIGN.md section 10) ----------------------------
     #: a path or :class:`~repro.obs.live.LiveStatsSink`: a pure observer
@@ -182,6 +180,8 @@ class RunConfig:
             )
         if self.workers < 1:
             raise ValueError("-j/--max-workers must be >= 1")
+        if self.resume and not self.journal:
+            raise ValueError("--resume requires --journal PATH")
         if self.journal_batch < 1:
             raise ValueError("--journal-batch must be >= 1")
         if self.straggler_factor <= 1.0:
@@ -198,12 +198,9 @@ class RunConfig:
             )
 
     def _speculation(self) -> Optional[SpeculationPolicy]:
-        if isinstance(self.speculation, bool):
-            return (
-                SpeculationPolicy(straggler_factor=self.straggler_factor)
-                if self.speculation else None
-            )
-        return self.speculation
+        if not self.speculation:
+            return None
+        return SpeculationPolicy(straggler_factor=self.straggler_factor)
 
     def fingerprint(self) -> str:
         """Content hash of the options that shape case *results*.
@@ -549,9 +546,10 @@ class Executor:
         quarantine = Quarantine(config.quarantine_threshold)
         journal = as_journal(config.journal)
         watchdog = as_watchdog(config.watchdog)
-        health = config.health
-        if health is None and config.drain_after is not None:
-            health = HealthTracker(drain_after=config.drain_after)
+        health = (
+            HealthTracker(drain_after=config.drain_after)
+            if config.drain_after is not None else None
+        )
         speculation = config._speculation()
         store = as_result_store(config.result_store)
         store_keys: Dict[int, str] = {}
@@ -613,10 +611,6 @@ class Executor:
                 tracer.attach_io(iofault_shim, "trace")
             if store is not None:
                 store.attach_io(iofault_shim)
-        if self.perflog is not None:
-            self.perflog.on_store_error = (
-                lambda path, exc: durpolicy.absorb("ingest", path, exc)
-            )
         #: perflog flush attempts before giving up: storage faults are
         #: drawn per operation, so degrade mode retries hard enough that
         #: a heavy storm still converges (0.34^16 ~ 3e-8), while strict
@@ -808,9 +802,7 @@ class Executor:
             Called *after* the case's spans flush, so the tracer's
             ``last_flush_bundle`` holds this case's final encoded trace
             lines and first global id -- exactly what the warm-path
-            blit replays.  Wall-clock tracing is the one exclusion:
-            stored lines would resurrect stale wall times, so a wall
-            campaign stores no trace (and re-executes on warm runs).
+            blit replays.
             """
             perflog_doc = None
             if self.perflog is not None and self.perflog.last_emit:
@@ -820,7 +812,7 @@ class Executor:
                     "lines": lines,
                 }
             trace_doc = None
-            if tracer is not None and not tracer.wall:
+            if tracer is not None:
                 recorder = getattr(result, "_trace", None)
                 bundle = tracer.last_flush_bundle
                 if recorder is not None and bundle is not None:
@@ -1109,13 +1101,6 @@ class Executor:
         )
         # subsystem caches publish their own namespaces
         self.concretizer_cache.stats.publish(registry, "concretize")
-        if (self.perflog is not None and self.perflog.store is not None
-                and hasattr(self.perflog.store, "stats")):
-            # the ingest-cache mirror's counters used to land only in
-            # provenance; metrics snapshots under-reported cache work.
-            # Gated on an attached store so quiet campaigns keep their
-            # exact historical namespace (and trace trailer bytes).
-            self.perflog.store.stats.publish(registry, "ingest")
         if store is not None:
             # only when a result store is armed: cold campaigns keep the
             # exact metrics namespace (and trace trailer bytes) they had

@@ -22,12 +22,9 @@ the executor uses a larger batch and flushes at end of run.  Buffered
 lines are flushed in emission order, so the on-disk byte sequence is
 identical to write-through mode.
 
-The handler optionally carries a **manifest hook**: pass an ingest
-``store`` (:class:`repro.postprocess.store.PerflogStore`) and every
-flushed append is mirrored into the store's content/offset manifest via
-``store.note_append`` -- the analytics side then re-ingests a growing
-campaign without re-parsing a single already-written byte (the write
-path keeps the read cache warm).
+Observers subscribe with :meth:`PerflogHandler.add_sink`: each hears
+every durable append, in flush order, as ``note_append(path, lines,
+wrote_header)`` -- how the live plane sees rows the moment they land.
 """
 
 from __future__ import annotations
@@ -187,12 +184,6 @@ class PerflogHandler:
         makes perflogs *byte-reproducible* across runs and execution
         policies -- what the serial-vs-async equivalence tests rely on.
         Default: wall-clock UTC at emit time.
-    store:
-        Optional perflog ingest store
-        (:class:`repro.postprocess.store.PerflogStore`); every flushed
-        append is mirrored into its manifest so later analytics reads
-        start warm.  Duck-typed: anything with
-        ``note_append(path, lines, wrote_header)`` works.
     faults:
         Optional fault plan (:class:`repro.faults.FaultPlan`); ``perflog``
         faults fire here, *before* a file's append, to exercise the
@@ -204,7 +195,6 @@ class PerflogHandler:
         prefix: str,
         batch_size: int = 1,
         timestamp: Optional[Union[str, Callable[[], str]]] = None,
-        store: Optional[object] = None,
         faults: Optional[object] = None,
     ):
         if batch_size < 1:
@@ -212,7 +202,6 @@ class PerflogHandler:
         self.prefix = prefix
         self.batch_size = batch_size
         self.timestamp = timestamp
-        self.store = store
         self.faults = faults
         self.written: List[str] = []
         #: set twin of ``written`` -- membership checks on the flush hot
@@ -231,15 +220,9 @@ class PerflogHandler:
         self.last_emit: Optional[tuple] = None
         #: optional FaultyIO shim the raw append is routed through
         self._io: Optional[object] = None
-        #: called (path, exc) when the ingest-store mirror hook fails;
-        #: the store is demoted to None first, so the perflog itself is
-        #: never re-appended for a store-side problem
-        self.on_store_error: Optional[Callable[[str, Exception], None]] = None
-        #: append subscribers beyond the ingest store -- duck-typed
-        #: objects with ``note_append(path, lines, wrote_header=...)``.
-        #: Same contract as the store hook, but best-effort: a sink that
-        #: raises is dropped (the rows are already durable) instead of
-        #: being demoted through ``on_store_error``.
+        #: append subscribers -- duck-typed objects with
+        #: ``note_append(path, lines, wrote_header=...)``; best-effort:
+        #: a sink that raises is dropped (the rows are already durable)
         self._sinks: List[object] = []
         #: sidecars are best-effort: once one fails, stop writing it
         self._sums_disabled: set = set()
@@ -252,10 +235,6 @@ class PerflogHandler:
         """Route perflog appends through a :class:`FaultyIO` shim."""
         self._io = io
         self.sums_enabled = True
-        if self.store is not None and hasattr(self.store, "attach_io"):
-            # the ingest-cache mirror persists manifests on every append;
-            # those writes are artifacts too and must see the same faults
-            self.store.attach_io(io)
 
     def enable_sums(self) -> None:
         """Write ``.sums`` checksum sidecars alongside each perflog."""
@@ -264,9 +243,10 @@ class PerflogHandler:
     def add_sink(self, sink: object) -> None:
         """Subscribe *sink* to appends: ``note_append(path, lines, wrote_header)``.
 
-        Sinks hear every durable append in flush order -- the same
-        feed the ingest store gets -- so live observers see rows the
-        moment they hit disk.  Idempotent per sink object.
+        Sinks hear every durable append once, in flush order, so live
+        observers see rows the moment they hit disk.  ``wrote_header``
+        is true only for the append that created the file.  Idempotent
+        per sink object.
         """
         if sink not in self._sinks:
             self._sinks.append(sink)
@@ -307,8 +287,8 @@ class PerflogHandler:
         The rows were captured verbatim from the cold run's
         :meth:`emit`, so a warm campaign's perflog byte stream is
         identical to the cold one -- same lines, same per-file order --
-        and flows through the same flush path (fault sites, manifest
-        ``note_append`` hook, batch coalescing included).
+        and flows through the same flush path (fault sites, append
+        sinks, batch coalescing included).
         """
         path = os.path.join(self.prefix, *relpath.split("/"))
         self.last_emit = (path, list(lines))
@@ -374,17 +354,6 @@ class PerflogHandler:
                 finally:
                     os.close(fd)
             self._write_sums(path, pre_size, payload)
-            if self.store is not None:
-                try:
-                    self.store.note_append(path, lines,
-                                           wrote_header=new_file)
-                except Exception as exc:
-                    # the rows ARE durable; only the analytics mirror
-                    # failed.  Demote the store before surfacing, so a
-                    # flush retry cannot re-append the same rows.
-                    self.store = None
-                    if self.on_store_error is not None:
-                        self.on_store_error(path, exc)
             for sink in list(self._sinks):
                 try:
                     sink.note_append(path, lines, wrote_header=new_file)

@@ -137,11 +137,11 @@ class DurabilityPolicy:
 
     ``strict`` (the default): every artifact failure is fail-stop -- the
     campaign aborts with a :class:`DurabilityError` naming the artifact.
-    ``degrade``: *optional* artifacts (result store, ingest cache,
-    trace) demote to their uncached/untraced execution path and the
-    campaign carries on, counting each demotion; the journal and the
-    perflogs themselves remain fail-stop under either policy, because a
-    campaign that cannot record results has nothing to degrade *to*.
+    ``degrade``: *optional* artifacts (result store, trace) demote to
+    their uncached/untraced execution path and the campaign carries on,
+    counting each demotion; the journal and the perflogs themselves
+    remain fail-stop under either policy, because a campaign that cannot
+    record results has nothing to degrade *to*.
     """
 
     MODES = ("strict", "degrade")
@@ -693,20 +693,6 @@ class CampaignJournal:
             "key": key,
             "cached_from": cached_from,
         }
-
-    def record_replay(
-        self,
-        result: Any,
-        key: str,
-        cached_from: Optional[str] = None,
-        fingerprint: Optional[str] = None,
-    ) -> Dict[str, Any]:
-        """Append one store-replay meta record; returns it."""
-        record = self.make_replay_record(
-            result, key, cached_from=cached_from, fingerprint=fingerprint
-        )
-        self._append(record)
-        return record
 
     def record_health(self, snapshot: Dict[str, Any]) -> Dict[str, Any]:
         """Append a node-health snapshot (``kind='health'`` meta record).

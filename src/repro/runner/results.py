@@ -20,7 +20,7 @@ re-execute only the invalidated delta.  This module is that store:
   *replay* the case byte-identically instead of re-running it;
 * :class:`ResultStoreStats` mirrors the ``CacheStats`` /
   ``StoreStats`` accounting idiom (hits / misses / invalidated /
-  corrupted / evictions), published to the metrics registry under
+  corrupted), published to the metrics registry under
   ``resultstore.*``.
 
 Durability follows the ``obs.jsonl`` philosophy: entries are written
@@ -34,7 +34,6 @@ from __future__ import annotations
 import json
 import os
 import threading
-import time
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.obs.jsonl import seal_line, verify_line
@@ -90,6 +89,9 @@ class ResultStoreStats(HitStats):
     case identity exists under a different composite key -- the case
     was invalidated by an edit, not simply never seen; ``corrupted``
     counts unreadable/torn/version-skewed entries tolerated as misses.
+    ``evictions`` is always 0 (the store does not evict); it stays in
+    the published ``resultstore.*`` namespace so metrics snapshots keep
+    their shape.
     """
 
     FIELDS = ("hits", "misses", "invalidated", "corrupted", "evictions",
@@ -213,14 +215,16 @@ class CaseResultStore:
         index.json                      case identity -> its latest key
 
     The per-key object files are canonical: atomic, individually
-    evictable, randomly addressable.  The **pack** is a git-packfile
+    deletable, randomly addressable.  The **pack** is a git-packfile
     analogue -- the same entries as ``{"key", "entry"}`` lines in one
     append-only file -- loaded *once* per process so a warm campaign
     pays one sequential read instead of one open+parse per case.  A
     pack line is served only while its object file still exists (an
-    ``os.stat``), so eviction stays authoritative; keys missing from
-    the pack (a crash between object write and pack append, or entries
-    from a pre-pack store) fall back to the per-file path.
+    ``os.stat``): a corrupted entry and ``repro-fsck --repair`` both
+    delete objects, and the object files stay authoritative.  Keys
+    missing from the pack (a crash between object write and pack
+    append, or entries from a pre-pack store) fall back to the per-file
+    path.
 
     The identity index is what distinguishes *invalidated* (this case
     ran before, under different content -- an edit) from a plain miss
@@ -228,9 +232,7 @@ class CaseResultStore:
     journal counts.  Both the index and the pack are maintained
     **write-behind**: puts buffer in memory and :meth:`flush` persists
     -- a handful of file writes per campaign instead of two per case,
-    which at 5k cases is most of the put cost.  Lookups touch the
-    entry's mtime so eviction (``max_entries``, oldest-mtime-first)
-    approximates LRU.
+    which at 5k cases is most of the put cost.
     """
 
     #: write-behind safety valve: persist the identity index and the
@@ -238,15 +240,12 @@ class CaseResultStore:
     #: never reaches its final flush()
     INDEX_FLUSH_EVERY = 1024
 
-    #: compact the pack (drop superseded/evicted lines) when it holds
+    #: compact the pack (drop superseded/deleted lines) when it holds
     #: more than this many lines per live entry
     PACK_SLACK = 2
 
-    def __init__(self, root: str, max_entries: Optional[int] = None):
-        if max_entries is not None and max_entries < 1:
-            raise ValueError("max_entries must be >= 1 (or None)")
+    def __init__(self, root: str):
         self.root = str(root)
-        self.max_entries = max_entries
         self.stats = ResultStoreStats()
         self._objects = os.path.join(self.root, "objects")
         self._index_file = os.path.join(self.root, "index.json")
@@ -262,11 +261,6 @@ class CaseResultStore:
         #: lines currently in the pack file (maintained after load)
         self._pack_lines = 0
         self._lock = threading.Lock()
-        #: entry count, maintained incrementally after the initial scan
-        self._count = sum(
-            1 for name in os.listdir(self._objects)
-            if name.endswith(".json")
-        )
         # per-campaign key-component memos (system fingerprints and
         # package environments are invariant within one process run)
         self._system_keys: Dict[int, Tuple[Any, str]] = {}
@@ -399,7 +393,7 @@ class CaseResultStore:
                 fh.write("".join(self._pack_pending))
         self._pack_lines += len(self._pack_pending)
         self._pack_pending = []
-        # compact when superseded/evicted lines dominate -- needs the
+        # compact when superseded/deleted lines dominate -- needs the
         # pack in memory, so only bother once something loaded it
         if self._pack is not None and self._pack_lines > max(
             self.PACK_SLACK * len(self._pack), 16
@@ -453,23 +447,19 @@ class CaseResultStore:
 
         Entries are served from the pack when it has them (one
         sequential load for the whole campaign, validated against the
-        object file's existence so eviction is respected); otherwise
-        from the per-key object file.
+        object file's existence so a deleted object is respected);
+        otherwise from the per-key object file.
         """
         path = self._entry_path(key)
         with self._lock:
-            mtime: Optional[float] = None
             entry = self._load_pack_locked().get(key)
-            if entry is not None:
-                try:
-                    mtime = os.stat(path).st_mtime
-                except OSError:
-                    # evicted (or never-landed) object: the pack line
-                    # is stale, the object files are canonical
-                    self._pack.pop(key, None)
-                    entry = None
-                if entry is not None and entry.get("version") != ENTRY_VERSION:
-                    entry = None  # skewed replica: fall back to the file
+            if entry is not None and not os.path.exists(path):
+                # deleted (or never-landed) object: the pack line is
+                # stale, the object files are canonical
+                self._pack.pop(key, None)
+                entry = None
+            if entry is not None and entry.get("version") != ENTRY_VERSION:
+                entry = None  # skewed replica: fall back to the file
             if entry is None:
                 try:
                     with open(path, encoding="utf-8") as fh:
@@ -489,7 +479,6 @@ class CaseResultStore:
                     entry = None
                     try:
                         os.unlink(path)
-                        self._count -= 1
                     except OSError:
                         pass
             if entry is not None and (
@@ -503,16 +492,6 @@ class CaseResultStore:
                     self._note_invalidation(fingerprint, key)
                 return None
             self.stats.hits += 1
-            # LRU touch for mtime-ordered eviction.  A recently-touched
-            # entry (this campaign, or one earlier today) is already at
-            # the young end of the eviction order -- skipping its utime
-            # saves one syscall per hit without changing which entries
-            # an eviction pass would pick.
-            if mtime is None or time.time() - mtime > 3600.0:
-                try:
-                    os.utime(path)
-                except OSError:
-                    pass
             return entry
 
     def _note_invalidation(self, fingerprint: str, key: str) -> None:
@@ -522,14 +501,11 @@ class CaseResultStore:
             self.stats.invalidated += 1
 
     def put(self, key: str, entry: Dict[str, Any]) -> None:
-        """Persist one entry (atomic), update the index and pack, evict."""
+        """Persist one entry (atomic), update the index and pack."""
         path = self._entry_path(key)
         sealed = seal_line(entry)
         with self._lock:
-            existed = os.path.exists(path)
             self._write_atomic(path, sealed, label="store")
-            if not existed:
-                self._count += 1
             self.stats.puts += 1
             self._pack_pending.append(_pack_line(key, sealed))
             if self._pack is not None:
@@ -544,34 +520,12 @@ class CaseResultStore:
                     or len(self._pack_pending) >= self.INDEX_FLUSH_EVERY):
                 self._flush_index_locked()
                 self._flush_pack_locked()
-            if self.max_entries is not None:
-                self._evict_locked()
-
-    def _evict_locked(self) -> None:
-        if self._count <= self.max_entries:
-            return
-        aged: List[Tuple[float, str]] = []
-        for name in os.listdir(self._objects):
-            if not name.endswith(".json"):
-                continue
-            full = os.path.join(self._objects, name)
-            try:
-                aged.append((os.path.getmtime(full), full))
-            except OSError:
-                continue
-        aged.sort()
-        excess = len(aged) - self.max_entries
-        for _, full in aged[:excess]:
-            try:
-                os.unlink(full)
-                self.stats.evictions += 1
-            except OSError:
-                continue
-        self._count = min(self._count, self.max_entries)
 
     def __len__(self) -> int:
-        with self._lock:
-            return self._count
+        """The number of entry objects on disk (counted on demand)."""
+        return sum(
+            1 for name in os.listdir(self._objects) if name.endswith(".json")
+        )
 
     def __repr__(self) -> str:
         return (

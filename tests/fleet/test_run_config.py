@@ -205,6 +205,8 @@ def test_run_cases_keywords_replace_config_fields():
     (dict(max_failures=0), "--max-failures must be >= 1"),
     (dict(durability="bogus"), "--durability must be one of strict, "
                                "degrade, got 'bogus'"),
+    (dict(resume=True), "--resume requires --journal PATH"),
+    (dict(resume=True, journal=""), "--resume requires --journal PATH"),
 ])
 def test_run_config_validates_once(fields, fragment):
     with pytest.raises(ValueError) as err:
@@ -216,6 +218,6 @@ def test_run_config_validates_once(fields, fragment):
 
 
 def test_run_config_declares_the_nineteen_run_options():
-    assert len(dataclasses.fields(RunConfig)) == 19
+    assert len(dataclasses.fields(RunConfig)) == 18
     with pytest.raises(dataclasses.FrozenInstanceError):
         RunConfig().policy = "async"

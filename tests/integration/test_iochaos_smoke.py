@@ -6,8 +6,8 @@ The storage-resilience tentpole's headline properties:
   kinds (``enospc``, ``eio``, ``torn``, ``bitrot``, ``fsync-lie``) at
   >=5% per artifact operation completes the campaign and produces
   perflogs *byte-identical* to a fault-free run -- on both execution
-  policies.  Accelerator artifacts (result store, trace, ingest cache)
-  may degrade away; the primary record may not.
+  policies.  Accelerator artifacts (result store, trace) may degrade
+  away; the primary record may not.
 * Under ``--durability strict`` the same storm fail-stops
   deterministically, naming the artifact that could not be persisted.
 * ``repro-fsck`` detects and heals 100% of injected artifact
@@ -154,7 +154,7 @@ def test_degrade_survives_total_store_and_trace_loss(tmp_path):
     assert outcome == clean_outcome
     assert logs == clean_logs
     assert report.degraded
-    assert set(report.degraded) <= {"store", "trace", "ingest"}
+    assert set(report.degraded) <= {"store", "trace"}
 
 
 def _one_perflog(prefix):

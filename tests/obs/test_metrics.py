@@ -181,8 +181,8 @@ class TestStatsPublishers:
             "hits", "misses", "evictions", "hit_rate"]
         assert list(StoreStats().as_dict()) == [
             "full_hits", "partial_hits", "hits", "misses", "invalidations",
-            "appends", "bytes_parsed", "bytes_reused", "rows_parsed",
-            "rows_reused", "hit_rate", "byte_reuse_rate"]
+            "bytes_parsed", "bytes_reused", "rows_parsed", "rows_reused",
+            "hit_rate", "byte_reuse_rate"]
         assert list(ResultStoreStats().as_dict()) == [
             "hits", "misses", "invalidated", "corrupted", "evictions",
             "puts", "hit_rate"]

@@ -138,12 +138,6 @@ class TestTracer:
         (span,) = load_trace(path)[1]
         assert "w0" not in span
 
-    def test_wall_clock_opt_in(self):
-        tracer = Tracer(wall=True)
-        rec = tracer.recorder("t")
-        span = rec.record("a", 0.0, 1.0)
-        assert span.w0 is not None
-
     def test_as_tracer_coercion(self, tmp_path):
         assert as_tracer(None) is None
         t = Tracer()

@@ -220,68 +220,6 @@ class TestStorePersistence:
         assert len(frame["perf_value"]) == 5
 
 
-class TestWriterManifestHook:
-    def _result(self):
-        from repro.runner.cli import load_suite
-        from repro.runner.executor import Executor
-
-        ex = Executor()
-        classes = load_suite("babelstream")
-        cases = [c for c in ex.expand_cases(classes, "archer2")
-                 if "omp" in c.test.name][:1]
-        report = ex.run_cases(cases)
-        return report.results[0]
-
-    def test_flush_keeps_store_warm(self, tmp_path):
-        from repro.runner.perflog import PerflogHandler
-
-        store = PerflogStore()
-        result = self._result()
-        with PerflogHandler(str(tmp_path), batch_size=64,
-                            timestamp="2026-01-01T00:00:00",
-                            store=store) as handler:
-            path = handler.path_for(result)
-            handler.emit(result)
-        assert store.stats.appends == 1
-        frame = read_perflog(path, store=store)
-        assert store.stats.full_hits == 1  # served without any parse
-        assert store.stats.misses == 0
-        assert frames_equal(frame, read_perflog(path))
-
-    def test_second_flush_extends_manifest(self, tmp_path):
-        from repro.runner.perflog import PerflogHandler
-
-        store = PerflogStore()
-        result = self._result()
-        with PerflogHandler(str(tmp_path), timestamp="2026-01-01T00:00:00",
-                            store=store) as handler:
-            path = handler.path_for(result)
-            handler.emit(result)
-            handler.emit(result)
-        assert store.stats.appends == 2
-        frame = read_perflog(path, store=store)
-        assert store.stats.misses == 0
-        assert frames_equal(frame, read_perflog(path))
-
-    def test_external_append_desyncs_then_recovers(self, tmp_path):
-        from repro.runner.perflog import PerflogHandler
-
-        store = PerflogStore()
-        result = self._result()
-        with PerflogHandler(str(tmp_path), timestamp="2026-01-01T00:00:00",
-                            store=store) as handler:
-            path = handler.path_for(result)
-            handler.emit(result)
-            # an out-of-band writer breaks the offset contract
-            with open(path, "a", encoding="utf-8") as fh:
-                fh.write(record(value=123.0) + "\n")
-            handler.emit(result)
-        # entry was dropped, next read cold-parses and is correct
-        frame = read_perflog(path, store=store)
-        assert store.stats.misses == 1
-        assert frames_equal(frame, read_perflog(path))
-
-
 class TestReaderIntegration:
     def test_read_perflogs_with_store_and_workers(self, tmp_path):
         for i in range(6):

@@ -396,10 +396,9 @@ class TestCompactionComposition:
                 journal.record(result)
         journal.record_health({"drained": [], "nodes": {"nid0001": 1}})
         for result in results:
-            journal.record_replay(result, key="old-key",
-                                  cached_from="run-1")
-            journal.record_replay(result, key="new-key",
-                                  cached_from="run-2")
+            for key, run in (("old-key", "run-1"), ("new-key", "run-2")):
+                journal.record_many([journal.make_replay_record(
+                    result, key=key, cached_from=run)])
         journal.record_health({"drained": ["nid0001"], "nodes": {}})
         return journal, path, results
 

@@ -4,7 +4,7 @@ The invalidation matrix is the contract: a warm campaign re-executes a
 case iff one of the composite key's components changed (spec problem,
 system fingerprint, benchmark source, run config) -- and nothing else.
 Key stability across process restarts and dict orderings is
-hypothesis-tested; torn entries and eviction are tolerated, never fatal.
+hypothesis-tested; torn and deleted entries are tolerated, never fatal.
 """
 
 import gc
@@ -27,7 +27,6 @@ from repro.runner.cli import main as bench_main
 from repro.runner.config import default_site_config
 from repro.runner.executor import Executor, RunConfig
 from repro.runner.fields import parameter, variable
-from repro.runner.parallel import SpeculationPolicy
 from repro.runner.resilience import (
     _SOURCE_HASH_CACHE,
     CampaignJournal,
@@ -224,11 +223,11 @@ def test_run_config_fingerprint_ignores_how_the_campaign_runs():
     assert RunConfig(policy="async", workers=8, journal_batch=16,
                      journal="j.jsonl", trace="t.jsonl", metrics=True,
                      durability="degrade").fingerprint() == base
-    # speculation hashes its threshold, from either spelling
+    # speculation hashes its threshold, and only while it is armed
     flag = RunConfig(speculation=True, straggler_factor=1.5).fingerprint()
     assert flag != base
-    assert flag == RunConfig(
-        speculation=SpeculationPolicy(straggler_factor=1.5)).fingerprint()
+    assert flag != RunConfig(speculation=True).fingerprint()
+    assert RunConfig(straggler_factor=1.5).fingerprint() == base
 
 
 def test_changed_fault_injection_invalidates():
@@ -493,7 +492,7 @@ def test_failed_results_replay_too(tmp_path):
 
 
 # --------------------------------------------------------------------------
-# store durability: corruption, eviction
+# store durability: corruption, deleted objects
 # --------------------------------------------------------------------------
 
 def test_torn_entry_is_a_miss_not_a_crash(tmp_path):
@@ -619,16 +618,19 @@ def test_pack_is_a_redundant_replica(tmp_path):
 
 
 def test_pack_respects_eviction(tmp_path):
-    """A pack line whose object file is gone (evicted) is a miss."""
+    """A pack line whose object file is gone (deleted) is a miss."""
     store_dir = str(tmp_path / "store")
     run(tmp_path, "cold", store_dir)
     objects = os.path.join(store_dir, "objects")
     victim = sorted(os.listdir(objects))[0]
-    os.unlink(os.path.join(objects, victim))  # what eviction does
+    # what a corrupted-entry miss and repro-fsck --repair both do
+    os.unlink(os.path.join(objects, victim))
+    assert len(CaseResultStore(store_dir)) == 5  # objects, not pack lines
     _, warm = run(tmp_path, "warm", store_dir)
     assert warm.success
     assert len(warm.replayed) == 5
     assert warm.result_cache["misses"] == 1
+    assert warm.result_cache["evictions"] == 0
 
 
 def test_version_skew_is_a_miss(tmp_path):
@@ -637,19 +639,6 @@ def test_version_skew_is_a_miss(tmp_path):
     store.put(key, {"version": 999, "fingerprint": "fp"})
     assert store.lookup(key) is None
     assert store.stats.corrupted == 1
-
-
-def test_eviction_is_oldest_first(tmp_path):
-    store = CaseResultStore(str(tmp_path / "store"), max_entries=2)
-    for i, key in enumerate(["a" * 64, "b" * 64, "c" * 64]):
-        store.put(key, {"version": 1, "fingerprint": f"fp{i}"})
-        path = store._entry_path(key)
-        os.utime(path, (1000.0 + i, 1000.0 + i))
-        store._evict_locked()
-    assert store.stats.evictions >= 1
-    assert len(store) <= 2
-    assert not os.path.exists(store._entry_path("a" * 64))
-    assert os.path.exists(store._entry_path("c" * 64))
 
 
 def test_missing_artifacts_force_reexecution(tmp_path):
@@ -717,12 +706,11 @@ def test_compact_keeps_latest_replay_per_fingerprint(tmp_path):
         r.case = C()
         return r
 
-    journal.record_replay(fake("passed"), key="k1", cached_from="run1",
-                          fingerprint="fp1")
-    journal.record_replay(fake("failed"), key="k2", cached_from="run2",
-                          fingerprint="fp1")
-    journal.record_replay(fake("passed"), key="k3", cached_from="run3",
-                          fingerprint="fp2")
+    for status, key, run, fp in (("passed", "k1", "run1", "fp1"),
+                                 ("failed", "k2", "run2", "fp1"),
+                                 ("passed", "k3", "run3", "fp2")):
+        journal.record_many([journal.make_replay_record(
+            fake(status), key=key, cached_from=run, fingerprint=fp)])
     # an unknown future record shape must survive compaction untouched
     journal._append({"kind": "future", "fingerprint": "fp9", "x": 1})
     journal.compact()
