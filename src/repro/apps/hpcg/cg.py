@@ -69,6 +69,10 @@ class CgResult:
 
     @property
     def final_relative_residual(self) -> float:
+        """``||r_k|| / ||r_0||``; 0.0 when the initial residual is zero
+        (a zero right-hand side is solved exactly at iteration 0)."""
+        if self.residual_norms[0] == 0.0:
+            return 0.0
         return self.residual_norms[-1] / self.residual_norms[0]
 
 

@@ -5,7 +5,11 @@ equation with a Full Multigrid (FMG) cycle on a hierarchy of
 cell-centred grids.  This is that algorithm in vectorized numpy:
 7-point FV Laplacian, weighted-Jacobi smoothing, 8-cell-average
 restriction, trilinear-ish prolongation, V-cycles, and the FMG driver
-that visits coarse grids first.  The solver genuinely converges (the
+that visits coarse grids first.  The Laplacian subtracts contiguous
+slices of a zero-padded copy of its input, and the 2^3 level -- where a
+W-cycle solve spends most of its sweeps -- smooths its eight unknowns as
+Python floats; both give the bytes of the plain whole-array formulation
+(DESIGN.md section 12.3).  The solver genuinely converges (the
 test suite checks discretization-limited residuals and the textbook MG
 property that convergence rate is h-independent); simulated cluster
 timing lives in :mod:`repro.apps.hpgmg.model`.
@@ -30,7 +34,13 @@ class PoissonFV:
 
     ``apply`` computes ``(A u)_i = (6 u_i - sum of neighbours) / h^2``
     (the standard second-order FV/FD discretization; ghost cells are
-    zero).
+    zero).  Like HPCG's matrix-free operator it copies u into a
+    zero-padded ``(n+2)^3`` buffer and subtracts each neighbour as one
+    contiguous slice of the flattened buffer, in the order +x, -x, +y,
+    -y, +z, -z; a +0.0 ghost leaves a value unchanged, so the result is
+    bit-identical to subtracting trimmed 3-D views.  The buffers belong
+    to the instance: one operator must not be applied from two threads
+    at once.
     """
 
     def __init__(self, n: int):
@@ -38,16 +48,25 @@ class PoissonFV:
             raise MultigridError(f"grid dimension {n} must be a power of two >= 2")
         self.n = n
         self.h = 1.0 / n
+        padded = np.zeros((n + 2,) * 3)
+        acc = np.empty_like(padded)
+        sx, sy = (n + 2) * (n + 2), n + 2
+        lo, hi = sx + sy + 1, n * (sx + sy + 1) + 1
+        flat = padded.reshape(-1)
+        self._interior = padded[1:-1, 1:-1, 1:-1]
+        self._centre = flat[lo:hi]
+        self._neighbours = [flat[lo + shift:hi + shift]
+                            for shift in (sx, -sx, sy, -sy, 1, -1)]
+        self._window = acc.reshape(-1)[lo:hi]
+        self._result = acc[1:-1, 1:-1, 1:-1]
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        out = 6.0 * u
-        out[:-1, :, :] -= u[1:, :, :]
-        out[1:, :, :] -= u[:-1, :, :]
-        out[:, :-1, :] -= u[:, 1:, :]
-        out[:, 1:, :] -= u[:, :-1, :]
-        out[:, :, :-1] -= u[:, :, 1:]
-        out[:, :, 1:] -= u[:, :, :-1]
-        return out / (self.h * self.h)
+        self._interior[...] = u
+        window = self._window
+        np.multiply(6.0, self._centre, out=window)
+        for neighbour in self._neighbours:
+            np.subtract(window, neighbour, out=window)
+        return self._result / (self.h * self.h)
 
     @property
     def diagonal(self) -> float:
@@ -95,6 +114,34 @@ def prolong(coarse: np.ndarray) -> np.ndarray:
     for axis in range(3):
         out = _interp_axis(out, axis)
     return out
+
+
+def _smooth_2cubed(u: np.ndarray, f: np.ndarray, sweeps: int,
+                   w: float, h2: float) -> np.ndarray:
+    """Weighted-Jacobi sweeps on the 2^3 grid in Python floats.
+
+    Cell ``c = 4x + 2y + z`` has one neighbour per axis, at ``c ^ 4``,
+    ``c ^ 2`` and ``c ^ 1``.  Each line computes ``u + w * (f - (6 u - ux
+    - uy - uz) / h2)`` in :meth:`PoissonFV.apply`'s order (of each +/-
+    pair only one neighbour exists here), so the result is bit-identical
+    to the numpy sweep; eight unknowns cost far less as floats than as
+    arrays.
+    """
+    f0, f1, f2, f3, f4, f5, f6, f7 = f.ravel().tolist()
+    uu = u.ravel().tolist()
+    for _ in range(sweeps):
+        u0, u1, u2, u3, u4, u5, u6, u7 = uu
+        uu = (
+            u0 + w * (f0 - (6.0 * u0 - u4 - u2 - u1) / h2),
+            u1 + w * (f1 - (6.0 * u1 - u5 - u3 - u0) / h2),
+            u2 + w * (f2 - (6.0 * u2 - u6 - u0 - u3) / h2),
+            u3 + w * (f3 - (6.0 * u3 - u7 - u1 - u2) / h2),
+            u4 + w * (f4 - (6.0 * u4 - u0 - u6 - u5) / h2),
+            u5 + w * (f5 - (6.0 * u5 - u1 - u7 - u4) / h2),
+            u6 + w * (f6 - (6.0 * u6 - u2 - u4 - u7) / h2),
+            u7 + w * (f7 - (6.0 * u7 - u3 - u5 - u6) / h2),
+        )
+    return np.array(uu).reshape(2, 2, 2)
 
 
 @dataclass
@@ -145,11 +192,14 @@ class FmgSolver:
 
     def smooth(self, level: int, u: np.ndarray, f: np.ndarray,
                sweeps: int) -> np.ndarray:
+        """``sweeps`` weighted-Jacobi sweeps ``u + w/D * (f - A u)``."""
         op = self.levels[level].operator
         inv_diag = self.omega / op.diagonal
+        self.levels[level].applies += sweeps
+        if op.n == 2 and sweeps:
+            return _smooth_2cubed(u, f, sweeps, inv_diag, op.h * op.h)
         for _ in range(sweeps):
             u = u + inv_diag * (f - op.apply(u))
-            self.levels[level].applies += 1
         return u
 
     def v_cycle(self, level: int, u: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -204,7 +254,11 @@ class FmgSolver:
         u = self.fmg(f, v_cycles=v_cycles)
         for _ in range(extra_v_cycles):
             u = self.v_cycle(0, u, f)
-        res = float(np.linalg.norm(op.residual(u, f)) / np.linalg.norm(f))
+        # a zero right-hand side is solved exactly: define its relative
+        # residual as 0.0 instead of computing 0/0
+        f_norm = np.linalg.norm(f)
+        res = (float(np.linalg.norm(op.residual(u, f)) / f_norm)
+               if f_norm else 0.0)
         err = (
             float(np.max(np.abs(u - u_exact))) if u_exact is not None else None
         )

@@ -180,6 +180,16 @@ class TestConjugateGradient:
         warm = conjugate_gradient(op, b, x0=exact, max_iterations=3)
         assert warm.converged
 
+    @pytest.mark.parametrize("kind", ["csr", "matrix-free", "lfric"])
+    def test_zero_rhs(self, kind):
+        """A zero right-hand side converges at iteration 0 with a zero
+        relative residual (not a ZeroDivisionError)."""
+        op = make_operator(kind, PROBLEM)
+        result = conjugate_gradient(op, np.zeros(PROBLEM.n))
+        assert result.converged and result.iterations == 0
+        assert result.final_relative_residual == 0.0
+        assert not result.x.any()
+
 
 class TestVariantModels:
     def node(self, name, part=None):

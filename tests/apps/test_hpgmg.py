@@ -99,6 +99,13 @@ class TestSolver:
         assert r.relative_residual < 1e-2
         assert r.max_error is None
 
+    @pytest.mark.filterwarnings("error")
+    def test_zero_rhs_has_zero_relative_residual(self):
+        """||f|| = 0 is solved exactly; no 0/0 and no RuntimeWarning."""
+        r = FmgSolver(8).solve(f=np.zeros((8, 8, 8)))
+        assert r.relative_residual == 0.0
+        assert not r.u.any()
+
 
 class TestTimingModel:
     PAPER = {
