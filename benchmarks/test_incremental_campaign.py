@@ -104,6 +104,9 @@ def inc_class(index: int, rev: str = "r0"):
         point = parameter(list(range(POINTS)))
         scale = float(index)
         rev_tag = rev
+        #: every fleet toolchain: the cases must pass, not skip, or the
+        #: cold run times nothing but bookkeeping
+        valid_prog_environs = ["*"]
 
         def program(self, ctx):
             base = 100.0 + self.scale + (self.point % 97)

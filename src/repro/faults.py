@@ -49,8 +49,8 @@ slice, leaving leases dangling for a restarted supervisor to reclaim.
 
 The five *I/O* kinds (``enospc``/``eio``/``torn``/``bitrot``/
 ``fsync-lie``) target durable-artifact operations instead of cases: the
-target is an artifact label (``journal``, ``perflog``, ``trace``,
-``store``, ``pack``, ``index``) and selection is drawn *per
+target is an artifact label (one of :data:`IO_LABELS`: ``journal``,
+``perflog``, ``trace``, ``store``) and selection is drawn *per
 operation* via :meth:`FaultPlan.check_io`, not once per target -- a
 storage device does not remember which files it has already eaten.  They
 are routed through :class:`repro.iofaults.FaultyIO` rather than raised at
@@ -86,6 +86,7 @@ __all__ = [
     "FAULT_KINDS",
     "FLEET_FAULT_KINDS",
     "IO_FAULT_KINDS",
+    "IO_LABELS",
     "SLOW_FACTOR",
     "SICK_FACTOR",
     "HANG_FACTOR",
@@ -108,6 +109,10 @@ __all__ = [
 #: :class:`repro.iofaults.FaultyIO` on the raw os.write/fsync/rename
 #: paths of every durable artifact
 IO_FAULT_KINDS = ("enospc", "eio", "torn", "bitrot", "fsync-lie")
+
+#: the artifact labels durable writers tag their storage operations
+#: with -- what an I/O-kind clause's ``@GLOB`` selects among
+IO_LABELS = ("journal", "perflog", "trace", "store")
 
 #: the fleet-supervisor kinds: consulted by
 #: :class:`repro.fleet.supervisor.FleetSupervisor` with a *campaign id*
@@ -324,6 +329,13 @@ def parse_fault_spec(spec: str) -> List[FaultClause]:
             raise FaultSpecError(
                 f"unknown fault kind {clause.kind!r}; known: "
                 f"{', '.join(FAULT_KINDS)}"
+            )
+        if (clause.kind in IO_FAULT_KINDS and clause.glob is not None
+                and not any(fnmatch.fnmatch(label, clause.glob)
+                            for label in IO_LABELS)):
+            raise FaultSpecError(
+                f"{clause.glob!r} in {text!r} matches no artifact; "
+                f"labels: {', '.join(IO_LABELS)}"
             )
         clauses.append(clause)
     if not clauses:

@@ -2,9 +2,9 @@
 
 ``repro.faults`` makes the *scheduler* lie on command; this module makes
 the *disk* lie.  Every durable artifact the runner produces -- campaign
-journal, trace, perflogs, the case-result store's objects, pack and
-index -- funnels its raw ``os.open/write/fsync/replace`` calls through
-one :class:`FaultyIO` shim, which consults a
+journal, trace, perflogs, the case-result store's pack -- funnels its
+raw ``os.open/write/fsync/replace`` calls through one :class:`FaultyIO`
+shim, which consults a
 :class:`repro.faults.FaultPlan` *per operation* (``FaultPlan.check_io``)
 and acts out five storage pathologies:
 
@@ -106,7 +106,7 @@ class FaultyIO:
 
     One instance serves a whole campaign; callers tag each operation
     with the *artifact label* (``journal``, ``trace``, ``perflog``,
-    ``store``, ``pack``, ``index``) that the fault-spec
+    ``store``; :data:`repro.faults.IO_LABELS`) that the fault-spec
     globs select on.  With no matching clause armed, every method is a
     thin wrapper over the plain os calls.
     """
@@ -206,7 +206,7 @@ class FaultyIO:
                     self._unsynced[path] = (0, payload)
 
     def replace(self, src: str, dst: str, label: str) -> None:
-        """``os.replace`` guarded by the fault plan (pack/manifest swaps)."""
+        """``os.replace`` guarded by the fault plan."""
         fault = self._consult(label)
         if fault is not None and fault.kind in ("enospc", "eio", "torn"):
             self._record(fault, src)

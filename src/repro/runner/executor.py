@@ -792,7 +792,7 @@ class Executor:
 
         def drop_store() -> None:
             # degrade-mode demotion: every later case simply misses the
-            # cache (and skips the write-behind), which only costs time
+            # cache (and skips its put), which only costs time
             nonlocal store
             store = None
 
@@ -991,7 +991,7 @@ class Executor:
                     aborted = str(exc)
             if store is not None:
                 try:
-                    store.flush()  # persist the write-behind identity index
+                    store.flush()  # compact when superseded lines dominate
                 except CampaignAborted:
                     raise
                 except Exception as exc:

@@ -3,7 +3,7 @@
 Every artifact the runner writes is self-verifying (DESIGN.md section
 6.6): journal and trace records carry a ``cs`` CRC32 field, perflogs
 grow a ``.sums`` checksum sidecar when chaos injection is armed, and
-result-store objects seal their entries the same way.  This tool is the
+result-store pack lines seal their entries the same way.  This tool is the
 offline complement: it walks an artifact tree, re-verifies every
 checksum, and -- with ``--repair`` -- excises exactly the damaged bytes
 while preserving every intact record::
@@ -22,10 +22,10 @@ What each artifact class gets:
   rebuilds the log from the valid ranges plus any complete uncovered
   tail lines, then regenerates the sidecar.  Without a sidecar only a
   torn (unterminated) tail is healable.
-* **Result store** -- every ``objects/*.json`` entry must verify;
-  repair unlinks damaged objects (a store miss, never wrong data),
-  rebuilds ``pack.jsonl`` from the surviving canonical objects, and
-  filters ``index.json`` down to keys that still exist.
+* **Result store** -- every ``pack.jsonl`` line must carry a verifying
+  sealed entry; repair rewrites the pack atomically from the intact
+  lines, in the bytes ``put`` writes (a dropped entry is a store miss,
+  never wrong data).
 
 Exit status: 0 when everything verifies (or every problem was healed),
 1 when damage was found (check mode) or remains (repair mode), 2 on
@@ -38,13 +38,12 @@ import argparse
 import json
 import os
 import sys
-import zlib
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.obs.jsonl import (
-    scan_jsonl, seal_line, verify_line, write_jsonl_atomic,
+from repro.obs.jsonl import scan_jsonl, seal_line, write_jsonl_atomic
+from repro.runner.perflog import (
+    _range_ok, _read_sums, _sums_entries, sums_path, verify_sums,
 )
-from repro.runner.perflog import sums_path, verify_sums
 from repro.runner.results import _pack_line, _unpack_line
 
 __all__ = [
@@ -91,38 +90,11 @@ def fsck_live_status(path: str, repair: bool = False) -> Dict[str, Any]:
 
 
 # -- perflogs + .sums sidecars ---------------------------------------------------------
-def _read_sums(path: str) -> List[Tuple[int, int, int]]:
-    """Parse a ``.sums`` sidecar into ``(start, length, crc)`` tuples."""
-    ranges: List[Tuple[int, int, int]] = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for raw in fh:
-                parts = raw.split()
-                if len(parts) != 3:
-                    continue
-                try:
-                    ranges.append(
-                        (int(parts[0]), int(parts[1]), int(parts[2], 16))
-                    )
-                except ValueError:
-                    continue
-    except OSError:
-        pass
-    return ranges
-
-
-def _rebuild_sums(path: str, data: bytes) -> None:
-    lines = []
-    offset = 0
-    for line in data.split(b"\n")[:-1]:
-        chunk = line + b"\n"
-        crc = zlib.crc32(chunk) & 0xFFFFFFFF
-        lines.append(f"{offset} {len(chunk)} {crc:08x}\n")
-        offset += len(chunk)
-    tmp = sums_path(path) + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write("".join(lines))
-    os.replace(tmp, sums_path(path))
+def _replace(path: str, data: bytes) -> None:
+    tmp = path + ".tmp"
+    with open(tmp, "wb") as fh:
+        fh.write(data)
+    os.replace(tmp, path)
 
 
 def fsck_perflog(path: str, repair: bool = False) -> Dict[str, Any]:
@@ -140,15 +112,13 @@ def fsck_perflog(path: str, repair: bool = False) -> Dict[str, Any]:
     problems = invalid + (1 if torn_tail else 0)
     healed = 0
     if problems and repair:
-        ranges = _read_sums(sums_path(path))
+        ranges = [r for r in _read_sums(path) if r is not None]
         if ranges:
             keep = bytearray()
             end = 0
-            for start, length, want in ranges:
-                chunk = data[start:start + length]
-                if (len(chunk) == length
-                        and (zlib.crc32(chunk) & 0xFFFFFFFF) == want):
-                    keep.extend(chunk)
+            for start, length, crc in ranges:
+                if _range_ok(data, start, length, crc):
+                    keep.extend(data[start:start + length])
                 end = max(end, start + length)
             # rows appended without a sidecar are unverifiable but
             # keepable when they are complete lines
@@ -157,120 +127,41 @@ def fsck_perflog(path: str, repair: bool = False) -> Dict[str, Any]:
             healed_data = bytes(keep)
         else:
             healed_data = data[: data.rfind(b"\n") + 1]
-        tmp = path + ".tmp"
-        with open(tmp, "wb") as fh:
-            fh.write(healed_data)
-        os.replace(tmp, path)
-        _rebuild_sums(path, healed_data)
+        _replace(path, healed_data)
+        entries, _ = _sums_entries(0, healed_data)
+        _replace(sums_path(path),
+                 "".join(e + "\n" for e in entries).encode("utf-8"))
         healed = problems
     return _report("perflog", path, checked, problems, healed)
 
 
 # -- result store ----------------------------------------------------------------------
-def fsck_store(root: str, repair: bool = False) -> List[Dict[str, Any]]:
-    """Verify a :class:`CaseResultStore` tree; heal objects/pack/index."""
-    objects_dir = os.path.join(root, "objects")
+def fsck_store(root: str, repair: bool = False) -> Dict[str, Any]:
+    """Verify a :class:`CaseResultStore`'s pack, one pass over its lines.
+
+    Repair keeps the intact lines, in order, re-sealed exactly as
+    ``put`` writes them; the torn and rotten ones drop.
+    """
     pack_file = os.path.join(root, "pack.jsonl")
-    index_file = os.path.join(root, "index.json")
-    survivors: Dict[str, Dict[str, Any]] = {}  # key -> verified entry
-    checked = bad = healed = 0
-    names = []
-    if os.path.isdir(objects_dir):
-        names = sorted(
-            n for n in os.listdir(objects_dir) if n.endswith(".json")
-        )
-    for name in names:
-        full = os.path.join(objects_dir, name)
-        checked += 1
-        try:
-            with open(full, encoding="utf-8") as fh:
-                entry = verify_line(fh.read())
-        except (OSError, ValueError):
-            entry = None
-        if entry is None:
-            bad += 1
-            if repair:
-                # a damaged object becomes a cache miss, never wrong data
-                try:
-                    os.unlink(full)
-                except OSError:
-                    pass
-                healed += 1
-            continue
-        survivors[name[: -len(".json")]] = entry
-    reports = [_report("store-objects", objects_dir, checked, bad, healed)]
-
-    # pack: a sequential replica of the objects; every line must carry a
-    # verifying sealed entry whose object survived
-    pack_checked = pack_bad = pack_healed = 0
-    if os.path.exists(pack_file):
-        try:
-            with open(pack_file, encoding="utf-8") as fh:
-                pack_lines = fh.read().splitlines()
-        except OSError:
-            pack_lines = []
-        for line in pack_lines:
-            pack_checked += 1
-            unpacked = _unpack_line(line)
-            if unpacked is None or unpacked[0] not in survivors:
-                pack_bad += 1
-        if pack_bad and repair:
-            # the layout put writes, so the healed pack keeps the
-            # raw-CRC fast path
-            body = "".join(
-                _pack_line(key, seal_line(entry))
-                for key, entry in survivors.items()
-            )
-            tmp = pack_file + ".tmp"
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(body)
-            os.replace(tmp, pack_file)
-            pack_healed = pack_bad
-    reports.append(
-        _report("store-pack", pack_file, pack_checked, pack_bad,
-                pack_healed)
-    )
-
-    # index: advisory identity map; entries must point at live objects
-    idx_checked = idx_bad = idx_healed = 0
-    if os.path.exists(index_file):
-        try:
-            with open(index_file, encoding="utf-8") as fh:
-                index = json.load(fh)
-            if not isinstance(index, dict):
-                raise ValueError("index is not an object")
-        except (OSError, ValueError):
-            index = None
-        if index is None:
-            idx_checked = idx_bad = 1
-            if repair:
-                # rebuild from the surviving entries' own fingerprints
-                index = {
-                    str(entry["fingerprint"]): key
-                    for key, entry in survivors.items()
-                    if entry.get("fingerprint")
-                }
-                idx_healed = 1
-        else:
-            idx_checked = len(index)
-            live = {
-                str(k): str(v) for k, v in index.items()
-                if str(v) in survivors
-            }
-            idx_bad = len(index) - len(live)
-            if idx_bad and repair:
-                index = live
-                idx_healed = idx_bad
-        if repair and idx_healed:
-            tmp = index_file + ".tmp"
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(index, fh, sort_keys=True)
-            os.replace(tmp, index_file)
-    reports.append(
-        _report("store-index", index_file, idx_checked, idx_bad,
-                idx_healed)
-    )
-    return reports
+    intact: List[Tuple[str, Dict[str, Any]]] = []
+    checked = 0
+    try:
+        with open(pack_file, encoding="utf-8", errors="replace") as fh:
+            for line in fh:
+                checked += 1
+                key, entry = _unpack_line(line)
+                if entry is not None:
+                    intact.append((key, entry))
+    except OSError:
+        pass
+    invalid = checked - len(intact)
+    healed = 0
+    if invalid and repair:
+        body = "".join(_pack_line(key, seal_line(entry))
+                       for key, entry in intact)
+        _replace(pack_file, body.encode("utf-8"))
+        healed = invalid
+    return _report("store", root, checked, invalid, healed)
 
 
 # -- target discovery ------------------------------------------------------------------
@@ -350,18 +241,13 @@ _CHECKERS = {
     "jsonl": fsck_jsonl,
     "live-status": fsck_live_status,
     "perflog": fsck_perflog,
+    "store": fsck_store,
 }
 
 
 def _run_pass(targets: List[Tuple[str, str]],
               repair: bool) -> List[Dict[str, Any]]:
-    reports: List[Dict[str, Any]] = []
-    for kind, path in targets:
-        if kind == "store":
-            reports.extend(fsck_store(path, repair=repair))
-        else:
-            reports.append(_CHECKERS[kind](path, repair=repair))
-    return reports
+    return [_CHECKERS[kind](path, repair=repair) for kind, path in targets]
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -379,9 +265,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "and the perflog tree it lives in)")
     parser.add_argument("--repair", action="store_true",
                         help="heal what verification finds: drop torn/"
-                             "rotten records, rebuild sidecars, excise "
-                             "damaged store objects and rebuild the "
-                             "pack (default: report only)")
+                             "rotten records, rebuild sidecars, and "
+                             "rewrite store packs from their intact "
+                             "lines (default: report only)")
     parser.add_argument("-q", "--quiet", action="store_true",
                         help="print only artifacts with problems")
     args = parser.parse_args(argv)

@@ -118,6 +118,33 @@ def _sums_entries(start: int, data: bytes) -> Tuple[List[str], int]:
     return entries, offset
 
 
+def _read_sums(path: str) -> List[Optional[Tuple[int, int, int]]]:
+    """Parse perflog *path*'s ``.sums`` sidecar, one item per line.
+
+    Each item is ``(start, length, crc)``, or ``None`` for a malformed
+    line.  A missing sidecar reads as no lines.
+    """
+    ranges: List[Optional[Tuple[int, int, int]]] = []
+    try:
+        with open(sums_path(path), "r", encoding="utf-8") as fh:
+            for raw in fh:
+                parts = raw.split()
+                try:
+                    start, length, crc = parts
+                    ranges.append((int(start), int(length), int(crc, 16)))
+                except ValueError:
+                    ranges.append(None)
+    except OSError:
+        pass
+    return ranges
+
+
+def _range_ok(data: bytes, start: int, length: int, crc: int) -> bool:
+    """Whether ``data[start:start + length]`` is whole and matches *crc*."""
+    chunk = data[start : start + length]
+    return len(chunk) == length and (zlib.crc32(chunk) & 0xFFFFFFFF) == crc
+
+
 def verify_sums(path: str) -> Dict[str, object]:
     """Check *path* against its ``.sums`` sidecar.
 
@@ -127,43 +154,29 @@ def verify_sums(path: str) -> Dict[str, object]:
     *uncovered* (rows appended without a sidecar -- legal, unverifiable).
     A missing sidecar covers nothing.
     """
-    report: Dict[str, object] = {
-        "covered": 0, "valid": 0, "invalid": [], "uncovered_bytes": 0,
-    }
-    side = sums_path(path)
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError:
         data = b""
-    if not os.path.exists(side):
-        report["uncovered_bytes"] = len(data)
-        return report
-    end = 0
+    covered = valid = end = 0
     invalid: List[int] = []
-    with open(side, "r", encoding="utf-8") as fh:
-        for i, raw in enumerate(fh):
-            parts = raw.split()
-            if len(parts) != 3:
-                invalid.append(i)
-                continue
-            try:
-                start, length = int(parts[0]), int(parts[1])
-                want = int(parts[2], 16)
-            except ValueError:
-                invalid.append(i)
-                continue
-            report["covered"] = int(report["covered"]) + 1
-            chunk = data[start : start + length]
-            if (len(chunk) == length
-                    and (zlib.crc32(chunk) & 0xFFFFFFFF) == want):
-                report["valid"] = int(report["valid"]) + 1
-            else:
-                invalid.append(i)
-            end = max(end, start + length)
-    report["invalid"] = invalid
-    report["uncovered_bytes"] = max(0, len(data) - end)
-    return report
+    for i, item in enumerate(_read_sums(path)):
+        if item is None:
+            invalid.append(i)
+            continue
+        covered += 1
+        if _range_ok(data, *item):
+            valid += 1
+        else:
+            invalid.append(i)
+        end = max(end, item[0] + item[1])
+    return {
+        "covered": covered,
+        "valid": valid,
+        "invalid": invalid,
+        "uncovered_bytes": max(0, len(data) - end),
+    }
 
 
 class PerflogHandler:

@@ -23,10 +23,10 @@ re-execute only the invalidated delta.  This module is that store:
   corrupted), published to the metrics registry under
   ``resultstore.*``.
 
-Durability follows the ``obs.jsonl`` philosophy: entries are written
-atomically (temp + rename), and a torn or corrupted entry is a cache
-*miss* plus a counter -- never a crash (the case simply re-executes and
-the entry is rewritten).
+Durability follows the ``obs.jsonl`` philosophy: each entry is one
+CRC-sealed line appended to a single ``pack.jsonl``, and a torn or
+corrupted line is a cache *miss* plus a counter -- never a crash (the
+case simply re-executes and a fresh line is appended).
 """
 
 from __future__ import annotations
@@ -34,8 +34,9 @@ from __future__ import annotations
 import json
 import os
 import threading
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Set, Tuple, Union
 
+from repro.iofaults import FaultyIO
 from repro.obs.jsonl import seal_line, verify_line
 from repro.obs.metrics import HitStats
 from repro.runner.resilience import (
@@ -59,27 +60,35 @@ ENTRY_VERSION = 1
 
 
 def _pack_line(key: str, sealed: str) -> str:
-    """One ``pack.jsonl`` line: the entry's sealed object text, verbatim.
+    """One ``pack.jsonl`` line: the entry's sealed text, spliced verbatim.
 
-    Splicing the same :func:`~repro.obs.jsonl.seal_line` text the object
-    file holds keeps the line's decoded values ``{"key", "entry"}`` while
-    letting pack load verify the entry by a CRC over its stored bytes.
+    The line decodes to ``{"key", "entry"}``, and splicing the
+    :func:`~repro.obs.jsonl.seal_line` text lets pack load verify the
+    entry by a CRC over its stored bytes.
     """
     return '{"key":%s,"entry":%s}\n' % (json.dumps(key), sealed)
 
 
-def _unpack_line(line: str) -> Optional[Tuple[str, Dict[str, Any]]]:
-    """``(key, verified entry)`` from one pack line; ``None`` if damaged."""
+def _unpack_line(
+    line: str,
+) -> Tuple[Optional[str], Optional[Dict[str, Any]]]:
+    """``(key, verified entry)`` from one pack line.
+
+    A damaged entry yields ``(key, None)`` while the key is still
+    legible (so a lookup can count it ``corrupted``), and
+    ``(None, None)`` when not even the key survived.
+    """
     line = line.rstrip("\n")
     head, sep = '{"key":"', '","entry":'
     end = line.find(sep, len(head))
-    if not line.startswith(head) or end < 0 or not line.endswith("}"):
-        return None
+    if not line.startswith(head) or end < 0:
+        return None, None
     key = line[len(head):end]
     if "\\" in key:  # keys are hex digests: an escape means damage
-        return None
-    entry = verify_line(line[end + len(sep):-1])
-    return None if entry is None else (key, entry)
+        return None, None
+    if not line.endswith("}"):
+        return key, None
+    return key, verify_line(line[end + len(sep):-1])
 
 
 class ResultStoreStats(HitStats):
@@ -208,68 +217,54 @@ def replay_result(case: Any, entry: Dict[str, Any]) -> Any:
 class CaseResultStore:
     """Persistent content-addressed store of whole-case results.
 
-    Layout under *root* (all writes atomic temp+rename)::
+    The store is one file under *root*, ``pack.jsonl``: one
+    ``{"key", "entry"}`` line per :meth:`put`, appended as it happens,
+    each entry CRC-sealed.  It is loaded *once* per process, so a warm
+    campaign pays one sequential read instead of one open+parse per
+    case.  A key put twice keeps its last line; a damaged, torn or
+    version-skewed line is a miss counted ``corrupted``.  A crash can
+    only tear the final line, and the next append terminates that
+    fragment first so it never swallows a good line.
 
-        objects/<composite-key>.json    one entry per result content
-        pack.jsonl                      sequential replica of entries
-        index.json                      case identity -> its latest key
+    The identity index (case fingerprint -> latest key) is rebuilt from
+    the lines in put order.  It is what distinguishes *invalidated*
+    (this case ran before, under different content -- an edit) from a
+    plain miss (never seen).  :meth:`flush` compacts the file (temp +
+    rename) once superseded or damaged lines dominate, writing the live
+    entries in last-put order so the rebuilt index is unchanged.
 
-    The per-key object files are canonical: atomic, individually
-    deletable, randomly addressable.  The **pack** is a git-packfile
-    analogue -- the same entries as ``{"key", "entry"}`` lines in one
-    append-only file -- loaded *once* per process so a warm campaign
-    pays one sequential read instead of one open+parse per case.  A
-    pack line is served only while its object file still exists (an
-    ``os.stat``): a corrupted entry and ``repro-fsck --repair`` both
-    delete objects, and the object files stay authoritative.  Keys
-    missing from the pack (a crash between object write and pack
-    append, or entries from a pre-pack store) fall back to the per-file
-    path.
-
-    The identity index is what distinguishes *invalidated* (this case
-    ran before, under different content -- an edit) from a plain miss
-    (never seen), the counter the ISSUE wants reconciled against
-    journal counts.  Both the index and the pack are maintained
-    **write-behind**: puts buffer in memory and :meth:`flush` persists
-    -- a handful of file writes per campaign instead of two per case,
-    which at 5k cases is most of the put cost.
+    Stores written before the single-file layout also hold
+    ``objects/`` and ``index.json``; both are ignored and left alone.
     """
 
-    #: write-behind safety valve: persist the identity index and the
-    #: buffered pack lines every this many puts even if the campaign
-    #: never reaches its final flush()
-    INDEX_FLUSH_EVERY = 1024
-
-    #: compact the pack (drop superseded/deleted lines) when it holds
+    #: compact the pack (drop superseded/damaged lines) when it holds
     #: more than this many lines per live entry
     PACK_SLACK = 2
 
     def __init__(self, root: str):
         self.root = str(root)
         self.stats = ResultStoreStats()
-        self._objects = os.path.join(self.root, "objects")
-        self._index_file = os.path.join(self.root, "index.json")
         self._pack_file = os.path.join(self.root, "pack.jsonl")
-        os.makedirs(self._objects, exist_ok=True)
-        #: fingerprint -> latest composite key (lazy-loaded)
-        self._index: Optional[Dict[str, str]] = None
-        self._index_dirty = 0
-        #: key -> entry, the pack's content (lazy-loaded, last-wins)
+        os.makedirs(self.root, exist_ok=True)
+        #: key -> entry in last-put order (lazy-loaded with the rest)
         self._pack: Optional[Dict[str, Dict[str, Any]]] = None
-        #: pack lines buffered in memory until the next flush()
-        self._pack_pending: List[str] = []
-        #: lines currently in the pack file (maintained after load)
-        self._pack_lines = 0
+        #: fingerprint -> latest composite key
+        self._index: Dict[str, str] = {}
+        #: keys whose only lines are damaged or torn
+        self._damaged: Set[str] = set()
+        #: lines in the pack file, superseded and damaged ones included
+        self._lines = 0
+        #: the file ends in an unterminated (torn) line
+        self._torn_tail = False
         self._lock = threading.Lock()
         # per-campaign key-component memos (system fingerprints and
         # package environments are invariant within one process run)
         self._system_keys: Dict[int, Tuple[Any, str]] = {}
         self._env_cache: Dict[str, Tuple[Any, Any]] = {}
-        #: optional FaultyIO shim the write paths are routed through
-        self._io: Optional[Any] = None
+        self._io = FaultyIO()
 
     def attach_io(self, io: Any) -> None:
-        """Route object/pack/index writes through a FaultyIO shim."""
+        """Route the store's writes through a fault-armed FaultyIO."""
         self._io = io
 
     # -- key computation -----------------------------------------------------
@@ -320,111 +315,52 @@ class CaseResultStore:
             config_key=config_key,
         )
 
-    # -- paths ---------------------------------------------------------------
-    def _entry_path(self, key: str) -> str:
-        return os.path.join(self._objects, f"{key}.json")
-
-    def _write_atomic(self, path: str, body: str,
-                      label: str = "store") -> None:
-        if self._io is not None:
-            self._io.write_atomic(path, body.encode("utf-8"), label,
-                                  sync=False)
-            return
-        tmp = f"{path}.tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(body)
-        os.replace(tmp, path)
-
-    # -- identity index (write-behind) ---------------------------------------
-    def _load_index_locked(self) -> Dict[str, str]:
-        if self._index is None:
-            try:
-                with open(self._index_file, encoding="utf-8") as fh:
-                    loaded = json.load(fh)
-                self._index = (
-                    {str(k): str(v) for k, v in loaded.items()}
-                    if isinstance(loaded, dict) else {}
-                )
-            except (OSError, ValueError):
-                # missing or torn: the index is advisory, start fresh
-                self._index = {}
-        return self._index
-
-    def _flush_index_locked(self) -> None:
-        if self._index is not None and self._index_dirty:
-            # compact separators: the index is re-read by every campaign
-            body = json.dumps(self._index, separators=(",", ":"))
-            self._write_atomic(self._index_file, body, label="index")
-            self._index_dirty = 0
-
-    # -- pack (write-behind entry replica) -----------------------------------
-    def _load_pack_locked(self) -> Dict[str, Dict[str, Any]]:
+    # -- the pack -----------------------------------------------------------
+    def _load_locked(self) -> Dict[str, Dict[str, Any]]:
         if self._pack is None:
             pack: Dict[str, Dict[str, Any]] = {}
-            lines = 0
+            line = "\n"
             try:
                 # errors="replace": a rotted byte fails its line's CRC
                 # instead of aborting the whole load
                 with open(self._pack_file, encoding="utf-8",
                           errors="replace") as fh:
                     for line in fh:
-                        lines += 1
-                        unpacked = _unpack_line(line)
-                        if unpacked is not None:
-                            pack[unpacked[0]] = unpacked[1]
+                        self._lines += 1
+                        key, entry = _unpack_line(line)
+                        if entry is None:
+                            if key is not None:
+                                self._damaged.add(key)
+                            continue
+                        pack.pop(key, None)  # keep last-put order
+                        pack[key] = entry
+                        fingerprint = entry.get("fingerprint")
+                        if fingerprint:
+                            self._index[fingerprint] = key
             except OSError:
                 pass
+            self._damaged.difference_update(pack)
+            self._torn_tail = not line.endswith("\n")
             self._pack = pack
-            self._pack_lines = lines
         return self._pack
 
-    def _flush_pack_locked(self) -> None:
-        if not self._pack_pending:
-            return
-        if self._io is not None:
-            self._io.append(
-                self._pack_file,
-                "".join(self._pack_pending).encode("utf-8"),
-                "pack",
-                sync=False,
-            )
-        else:
-            with open(self._pack_file, "a", encoding="utf-8") as fh:
-                fh.write("".join(self._pack_pending))
-        self._pack_lines += len(self._pack_pending)
-        self._pack_pending = []
-        # compact when superseded/deleted lines dominate -- needs the
-        # pack in memory, so only bother once something loaded it
-        if self._pack is not None and self._pack_lines > max(
-            self.PACK_SLACK * len(self._pack), 16
-        ):
-            self._compact_pack_locked()
-
-    def _compact_pack_locked(self) -> None:
-        pack = self._load_pack_locked()
-        live = {
-            key: entry for key, entry in pack.items()
-            if os.path.exists(self._entry_path(key))
-        }
+    def _compact_locked(self) -> None:
+        pack = self._load_locked()
         body = "".join(
-            _pack_line(key, seal_line(entry)) for key, entry in live.items()
+            _pack_line(key, seal_line(entry)) for key, entry in pack.items()
         )
-        if self._io is not None:
-            self._io.write_atomic(self._pack_file, body.encode("utf-8"),
-                                  "pack", sync=False)
-        else:
-            tmp = f"{self._pack_file}.tmp"
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(body)
-            os.replace(tmp, self._pack_file)
-        self._pack = live
-        self._pack_lines = len(live)
+        self._io.write_atomic(self._pack_file, body.encode("utf-8"),
+                              "store", sync=False)
+        self._lines = len(pack)
+        self._torn_tail = False
 
     def flush(self) -> None:
-        """Persist the write-behind index and pack (end of campaign)."""
+        """Compact the pack when superseded or damaged lines dominate."""
         with self._lock:
-            self._flush_index_locked()
-            self._flush_pack_locked()
+            if self._pack is not None and self._lines > max(
+                self.PACK_SLACK * len(self._pack), 16
+            ):
+                self._compact_locked()
 
     # -- lookup / put --------------------------------------------------------
     def lookup(
@@ -436,7 +372,7 @@ class CaseResultStore:
     ) -> Optional[Dict[str, Any]]:
         """The stored entry for *key*, or ``None`` (a miss).
 
-        An unreadable or version-skewed entry is a tolerated miss
+        A damaged or version-skewed entry is a tolerated miss
         (``corrupted`` counter); an entry lacking an artifact this
         campaign needs (perflog rows while perflogs are armed, trace
         lines while tracing) is also a miss -- the case re-executes and
@@ -444,88 +380,50 @@ class CaseResultStore:
         *fingerprint* (when given) classifies it: an identity-index
         entry pointing at a *different* key means the case was seen
         before and an edit invalidated it.
-
-        Entries are served from the pack when it has them (one
-        sequential load for the whole campaign, validated against the
-        object file's existence so a deleted object is respected);
-        otherwise from the per-key object file.
         """
-        path = self._entry_path(key)
         with self._lock:
-            entry = self._load_pack_locked().get(key)
-            if entry is not None and not os.path.exists(path):
-                # deleted (or never-landed) object: the pack line is
-                # stale, the object files are canonical
-                self._pack.pop(key, None)
-                entry = None
-            if entry is not None and entry.get("version") != ENTRY_VERSION:
-                entry = None  # skewed replica: fall back to the file
+            entry = self._load_locked().get(key)
             if entry is None:
-                try:
-                    with open(path, encoding="utf-8") as fh:
-                        entry = verify_line(fh.read())
-                    if entry is None:
-                        raise ValueError("entry checksum mismatch")
-                    if entry.get("version") != ENTRY_VERSION:
-                        raise ValueError(
-                            f"entry version {entry.get('version')!r}"
-                        )
-                except FileNotFoundError:
-                    entry = None
-                except (OSError, ValueError):
-                    # torn/corrupted entry: tolerate as a miss, drop the
-                    # file so the re-executed case rewrites it cleanly
+                if key in self._damaged:
                     self.stats.corrupted += 1
-                    entry = None
-                    try:
-                        os.unlink(path)
-                    except OSError:
-                        pass
-            if entry is not None and (
-                (need_perflog and entry.get("perflog") is None)
-                or (need_spans and entry.get("trace") is None)
-            ):
+            elif entry.get("version") != ENTRY_VERSION:
+                self.stats.corrupted += 1
+                entry = None
+            elif ((need_perflog and entry.get("perflog") is None)
+                    or (need_spans and entry.get("trace") is None)):
                 entry = None  # incomplete for this campaign's needs
             if entry is None:
                 self.stats.misses += 1
-                if fingerprint:
-                    self._note_invalidation(fingerprint, key)
+                known = self._index.get(fingerprint) if fingerprint else None
+                if known is not None and known != key:
+                    self.stats.invalidated += 1
                 return None
             self.stats.hits += 1
             return entry
 
-    def _note_invalidation(self, fingerprint: str, key: str) -> None:
-        """Classify a miss: invalidated (seen before, edited) or new."""
-        known = self._load_index_locked().get(fingerprint)
-        if known is not None and known != key:
-            self.stats.invalidated += 1
-
     def put(self, key: str, entry: Dict[str, Any]) -> None:
-        """Persist one entry (atomic), update the index and pack."""
-        path = self._entry_path(key)
-        sealed = seal_line(entry)
+        """Append one entry's line to the pack and index it."""
+        line = _pack_line(key, seal_line(entry))
         with self._lock:
-            self._write_atomic(path, sealed, label="store")
+            pack = self._load_locked()
+            if self._torn_tail:
+                # end the torn fragment as its own (damaged) line
+                line = "\n" + line
+            self._io.append(self._pack_file, line.encode("utf-8"), "store",
+                            sync=False)
+            self._lines += 2 if self._torn_tail else 1
+            self._torn_tail = False
             self.stats.puts += 1
-            self._pack_pending.append(_pack_line(key, sealed))
-            if self._pack is not None:
-                self._pack[key] = entry
+            pack.pop(key, None)
+            pack[key] = entry
             fingerprint = entry.get("fingerprint")
             if fingerprint:
-                index = self._load_index_locked()
-                if index.get(fingerprint) != key:
-                    index[fingerprint] = key
-                    self._index_dirty += 1
-            if (self._index_dirty >= self.INDEX_FLUSH_EVERY
-                    or len(self._pack_pending) >= self.INDEX_FLUSH_EVERY):
-                self._flush_index_locked()
-                self._flush_pack_locked()
+                self._index[fingerprint] = key
 
     def __len__(self) -> int:
-        """The number of entry objects on disk (counted on demand)."""
-        return sum(
-            1 for name in os.listdir(self._objects) if name.endswith(".json")
-        )
+        """The number of live entries."""
+        with self._lock:
+            return len(self._load_locked())
 
     def __repr__(self) -> str:
         return (

@@ -11,7 +11,7 @@ The storage-resilience tentpole's headline properties:
 * Under ``--durability strict`` the same storm fail-stops
   deterministically, naming the artifact that could not be persisted.
 * ``repro-fsck`` detects and heals 100% of injected artifact
-  corruption: torn tails, mid-file bit rot, rotten store objects.
+  corruption: torn tails, mid-file bit rot, rotten store pack lines.
 """
 
 import json
@@ -183,9 +183,11 @@ def test_fsck_heals_all_injected_corruption(tmp_path, capsys):
     flip_byte(trace)                    # mid-file bit rot
     log = _one_perflog(prefix)
     flip_byte(log)                      # rot inside a checksummed range
-    objects = sorted(os.listdir(os.path.join(store_root, "objects")))
-    flip_byte(os.path.join(store_root, "objects", objects[0]))
-    tear_tail(os.path.join(store_root, "pack.jsonl"), drop=5)
+    pack = os.path.join(store_root, "pack.jsonl")
+    with open(pack, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    flip_byte(pack, offset=len(lines[0]) + 1 + len(lines[1]) // 2)
+    tear_tail(pack, drop=5)
 
     targets = [prefix, journal, trace, store_root]
     assert fsck_main(targets) == 1          # check mode: damage reported
@@ -197,18 +199,15 @@ def test_fsck_heals_all_injected_corruption(tmp_path, capsys):
     assert read_jsonl(journal)
     assert read_jsonl(trace)
     reopened = CaseResultStore(store_root)
-    assert len(reopened) == len(objects) - 1  # rotten object became a miss
+    assert len(reopened) == len(lines) - 2  # rotten and torn became misses
     # the rebuilt pack is byte-equal to what put writes for the surviving
     # entries, so the healed store keeps pack load's raw-CRC fast path
     fresh = CaseResultStore(str(tmp_path / "fresh"))
-    with open(os.path.join(store_root, "pack.jsonl"), encoding="utf-8") as fh:
+    with open(pack, encoding="utf-8") as fh:
         healed = fh.read()
-    for line in healed.splitlines():
-        key = json.loads(line)["key"]
-        with open(os.path.join(store_root, "objects", key + ".json"),
-                  encoding="utf-8") as fh:
-            fresh.put(key, verify_line(fh.read()))
-    fresh.flush()
+    for line in [lines[0]] + lines[2:-1]:  # all but the rotten and torn
+        doc = json.loads(line)
+        fresh.put(doc["key"], verify_line(json.dumps(doc["entry"])))
     with open(str(tmp_path / "fresh" / "pack.jsonl"), encoding="utf-8") as fh:
         assert healed == fh.read()
 

@@ -87,6 +87,7 @@ class TestIncrementalSmoke:
         cold = smoke["cold_report"]
         assert cold.success
         assert cold.num_cases == CASES
+        assert len(cold.passed) == CASES  # timed work, not skipped cases
         assert cold.result_cache["puts"] == CASES
 
     def test_zero_edit_warm_hits_everything(self, smoke):

@@ -46,7 +46,7 @@ class TestIoGrammar:
         assert clause.count == 2
 
     def test_roundtrip_format(self):
-        spec = "enospc:0.01,torn:0.05@journal,bitrot:0.1x2@store,eio@pack#*"
+        spec = "enospc:0.01,torn:0.05@journal,bitrot:0.1x2@store,eio@store#*"
         plan = FaultPlan.parse(spec)
         assert plan.format() == spec
 
@@ -63,6 +63,20 @@ class TestIoGrammar:
     def test_bad_rate_rejected(self):
         with pytest.raises(FaultSpecError):
             parse_fault_spec("torn:1.5@journal")
+
+    @pytest.mark.parametrize("spec", ["eio@pack", "eio@index#*",
+                                      "torn:0.05@pack", "bitrot@jrnl"])
+    def test_io_glob_matching_no_artifact_rejected(self, spec):
+        """A chaos run that injects nothing must not pass silently."""
+        with pytest.raises(FaultSpecError) as err:
+            parse_fault_spec(spec)
+        for label in ("journal", "perflog", "trace", "store"):
+            assert label in str(err.value)
+
+    @pytest.mark.parametrize("spec", ["eio@stor*", "torn:0.1@*",
+                                      "eio@journal", "build@pack"])
+    def test_io_globs_that_match_stay_valid(self, spec):
+        assert parse_fault_spec(spec)
 
 
 class TestCheckIoDraws:

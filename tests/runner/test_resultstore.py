@@ -492,20 +492,30 @@ def test_failed_results_replay_too(tmp_path):
 
 
 # --------------------------------------------------------------------------
-# store durability: corruption, deleted objects
+# store durability: corruption, older layouts, put order
 # --------------------------------------------------------------------------
+
+def _pack_lines(store_dir):
+    with open(os.path.join(store_dir, "pack.jsonl"), encoding="utf-8") as fh:
+        return fh.read().splitlines()
+
+
+def _write_pack_lines(store_dir, lines):
+    with open(os.path.join(store_dir, "pack.jsonl"), "w",
+              encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
 
 def test_torn_entry_is_a_miss_not_a_crash(tmp_path):
     store_dir = str(tmp_path / "store")
     run(tmp_path, "cold", store_dir)
-    os.unlink(os.path.join(store_dir, "pack.jsonl"))  # force the file path
-    objects = os.path.join(store_dir, "objects")
-    victims = sorted(os.listdir(objects))
-    # one torn mid-write, one outright garbage
-    with open(os.path.join(objects, victims[0]), "w") as fh:
-        fh.write('{"version": 1, "record": {"stat')
-    with open(os.path.join(objects, victims[1]), "w") as fh:
-        fh.write("not json at all")
+    lines = _pack_lines(store_dir)
+    # one entry torn mid-write; one rotted inside a value, which is
+    # still valid JSON that only the CRC can tell
+    lines[0] = lines[0][: lines[0].index('"entry":') + 40]
+    assert "--ntasks=1" in lines[1]
+    lines[1] = lines[1].replace("--ntasks=1", "--ntasks=7", 1)
+    _write_pack_lines(store_dir, lines)
     _, warm = run(tmp_path, "warm", store_dir)
     assert warm.success
     assert len(warm.replayed) == 4
@@ -517,120 +527,104 @@ def test_torn_entry_is_a_miss_not_a_crash(tmp_path):
 
 
 def _write_legacy_layout(store_dir):
-    """Rewrite a store in the byte layout of the previous store format:
-    compact ``json.dump`` object files sealed with a ``cs`` CRC over the
-    ``sort_keys`` encoding, plus ``{"key", "entry"}`` pack lines encoded
-    with compact separators."""
-    objects = os.path.join(store_dir, "objects")
+    """Rewrite a store's pack in the byte layout of an older store
+    format: each entry sealed with a ``cs`` CRC over the ``sort_keys``
+    encoding, and ``{"key", "entry"}`` lines encoded with compact
+    separators."""
     pack = []
-    for name in sorted(os.listdir(objects)):
-        path = os.path.join(objects, name)
-        with open(path, encoding="utf-8") as fh:
-            entry = json.load(fh)
+    for line in _pack_lines(store_dir):
+        doc = json.loads(line)
+        entry = doc["entry"]
         entry.pop("cs")
         canonical = json.dumps(entry, sort_keys=True).encode("utf-8")
         sealed = {"cs": f"{zlib.crc32(canonical) & 0xFFFFFFFF:08x}",
                   **entry}
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(sealed, fh, separators=(",", ":"))
-        pack.append(json.dumps({"key": name[:-len(".json")],
-                                "entry": sealed}, separators=(",", ":")))
-    with open(os.path.join(store_dir, "pack.jsonl"), "w",
-              encoding="utf-8") as fh:
-        fh.write("\n".join(pack) + "\n")
-    return sorted(os.listdir(objects))
+        pack.append(json.dumps({"key": doc["key"], "entry": sealed},
+                               separators=(",", ":")))
+    _write_pack_lines(store_dir, pack)
+    return pack
 
 
 def test_store_in_previous_layout_still_hits(tmp_path):
-    """A store written by the previous layout is served whole: from its
-    pack, and from its object files alone."""
+    """A pack written in an older line layout is served whole."""
     store_dir = str(tmp_path / "store")
     run(tmp_path, "cold", store_dir)
-    keys = _write_legacy_layout(store_dir)
+    lines = _write_legacy_layout(store_dir)
     legacy = CaseResultStore(store_dir)
-    with legacy._lock:
-        pack = legacy._load_pack_locked()
-    assert len(pack) == 6  # the legacy pack lines verify
-    for tag in ("warm-pack", "warm-objects"):
-        if tag == "warm-objects":
-            os.unlink(os.path.join(store_dir, "pack.jsonl"))
-        _, warm = run(tmp_path, tag, store_dir)
-        assert warm.success
-        assert len(warm.replayed) == 6
-        assert warm.result_cache["hits"] == 6
-        assert warm.result_cache["corrupted"] == 0
-        assert warm.result_cache["puts"] == 0
-        assert sorted(os.listdir(os.path.join(store_dir, "objects"))) == keys
-        assert (read_tree(str(tmp_path / "perflogs-cold"))
-                == read_tree(str(tmp_path / f"perflogs-{tag}")))
-
-
-def test_pack_line_splices_the_object_bytes(tmp_path):
-    """put writes one sealed text: the object file holds it, and the
-    pack line embeds it verbatim under the same decoded values."""
-    store_dir = str(tmp_path / "store")
-    run(tmp_path, "cold", store_dir)
-    objects = os.path.join(store_dir, "objects")
-    with open(os.path.join(store_dir, "pack.jsonl"), encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    assert len(lines) == 6
-    for line in lines:
-        doc = json.loads(line)
-        with open(os.path.join(objects, doc["key"] + ".json"),
-                  encoding="utf-8") as fh:
-            sealed = fh.read()
-        assert line == '{"key":"%s","entry":%s}' % (doc["key"], sealed)
-        assert json.loads(sealed) == doc["entry"]
-
-
-def test_rotten_pack_line_falls_back_to_the_object(tmp_path):
-    store_dir = str(tmp_path / "store")
-    run(tmp_path, "cold", store_dir)
-    pack = os.path.join(store_dir, "pack.jsonl")
-    with open(pack, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    # bit rot inside a value: still valid JSON, only the CRC can tell
-    assert "--ntasks=1" in lines[0]
-    lines[0] = lines[0].replace("--ntasks=1", "--ntasks=7", 1)
-    with open(pack, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    store = CaseResultStore(store_dir)
-    with store._lock:
-        pack = store._load_pack_locked()
-    assert len(pack) == 5
+    assert len(legacy) == 6  # the legacy pack lines verify
     _, warm = run(tmp_path, "warm", store_dir)
+    assert warm.success
     assert len(warm.replayed) == 6
+    assert warm.result_cache["hits"] == 6
     assert warm.result_cache["corrupted"] == 0
+    assert warm.result_cache["puts"] == 0
+    assert _pack_lines(store_dir) == lines
+    assert (read_tree(str(tmp_path / "perflogs-cold"))
+            == read_tree(str(tmp_path / "perflogs-warm")))
 
 
-def test_pack_is_a_redundant_replica(tmp_path):
-    """An intact pack line serves an entry whose object file was torn."""
+def test_two_copy_layout_is_served_from_its_pack(tmp_path):
+    """Stores that also kept per-key ``objects/`` files and an
+    ``index.json`` hit from ``pack.jsonl`` alone; the extra files are
+    neither read nor deleted, and repro-fsck still sees a store."""
+    from repro.runner.fsck import collect_targets, fsck_store
+
     store_dir = str(tmp_path / "store")
     run(tmp_path, "cold", store_dir)
     objects = os.path.join(store_dir, "objects")
-    victim = sorted(os.listdir(objects))[0]
-    with open(os.path.join(objects, victim), "w") as fh:
-        fh.write('{"version": 1, "record": {"stat')  # torn object file
+    os.makedirs(objects)
+    extra = {
+        os.path.join(objects, "0" * 64 + ".json"): "{ not an entry",
+        os.path.join(store_dir, "index.json"): "{ not an index",
+    }
+    for path, body in extra.items():
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(body)
     _, warm = run(tmp_path, "warm", store_dir)
-    assert warm.success
-    assert len(warm.replayed) == 6  # the pack still has the good bytes
+    assert warm.result_cache["hits"] == 6
     assert warm.result_cache["corrupted"] == 0
+    assert warm.result_cache["invalidated"] == 0
+    for path, body in extra.items():
+        with open(path, encoding="utf-8") as fh:
+            assert fh.read() == body
+    assert collect_targets([str(tmp_path)]).count(("store", store_dir)) == 1
+    report = fsck_store(store_dir)
+    assert (report["checked"], report["invalid"]) == (6, 0)
 
 
-def test_pack_respects_eviction(tmp_path):
-    """A pack line whose object file is gone (deleted) is a miss."""
+def test_store_directory_holds_only_the_pack(tmp_path):
     store_dir = str(tmp_path / "store")
     run(tmp_path, "cold", store_dir)
-    objects = os.path.join(store_dir, "objects")
-    victim = sorted(os.listdir(objects))[0]
-    # what a corrupted-entry miss and repro-fsck --repair both do
-    os.unlink(os.path.join(objects, victim))
-    assert len(CaseResultStore(store_dir)) == 5  # objects, not pack lines
-    _, warm = run(tmp_path, "warm", store_dir)
-    assert warm.success
-    assert len(warm.replayed) == 5
-    assert warm.result_cache["misses"] == 1
-    assert warm.result_cache["evictions"] == 0
+    assert os.listdir(store_dir) == ["pack.jsonl"]
+    assert len(_pack_lines(store_dir)) == 6
+
+
+def test_identity_index_follows_put_order(tmp_path):
+    """K1, K2, K1 again for one case identity: the latest key is K1 --
+    rebuilt from the pack, after compaction, and after a reopen."""
+    root = str(tmp_path / "store")
+    k1, k2, k3 = "1" * 64, "2" * 64, "3" * 64
+
+    def entry(key):
+        return {"version": 1, "key": key, "fingerprint": "fp"}
+
+    store = CaseResultStore(root)
+    for key in (k1, k2, k1):
+        store.put(key, entry(key))
+    assert store._index == {"fp": k1}
+    rebuilt = CaseResultStore(root)
+    assert len(rebuilt) == 2
+    assert rebuilt._index == {"fp": k1}
+    with rebuilt._lock:
+        rebuilt._compact_locked()
+    assert rebuilt._index == {"fp": k1}
+    assert len(_pack_lines(root)) == 2
+    reopened = CaseResultStore(root)
+    assert len(reopened) == 2
+    assert reopened._index == {"fp": k1}
+    assert reopened.lookup(k3, fingerprint="fp") is None
+    assert reopened.stats.invalidated == 1
+    assert reopened.lookup(k2, fingerprint="fp") is not None
 
 
 def test_version_skew_is_a_miss(tmp_path):
