@@ -1,19 +1,13 @@
-"""Post-processing throughput: vectorized ingest + incremental store.
+"""Post-processing throughput: vectorized ingest and groupby.
 
-Three claims from the ISSUE this PR implements, measured end to end on a
-synthetic ~1M-row multi-platform campaign (100 perflogs: 5 systems x 2
-partitions x 10 tests):
+Two claims, measured end to end on a synthetic ~1M-row multi-platform
+campaign (100 perflogs: 5 systems x 2 partitions x 10 tests):
 
 1. **Vectorized ingest**: the block-wise columnar parser assimilates the
    campaign >= 5x faster (rows/sec) than the retained row-at-a-time
-   reference reader (:mod:`repro.postprocess.reference`), with
+   reference reader (:mod:`tests.postprocess.reference`), with
    bit-identical frames.
-2. **Incremental re-ingest**: regrowing every log five times and
-   re-reading through a :class:`~repro.postprocess.store.PerflogStore`
-   parses only the appended bytes -- >= 90% manifest hit rate and >= 90%
-   byte reuse over the five regrowths, with the incremental frame
-   identical to a fresh full parse.
-3. **Groupby latency**: the factorize + argsort kernel aggregates the
+2. **Groupby latency**: the factorize + argsort kernel aggregates the
    million-row frame faster than the dict-per-row-tuple reference while
    producing bit-identical records.
 
@@ -32,12 +26,11 @@ import numpy as np
 from benchmarks.conftest import emit
 from repro.postprocess.dataframe import DataFrame
 from repro.postprocess.perflog_reader import read_perflogs
-from repro.postprocess.reference import (
+from tests.postprocess.reference import (
     reference_concat,
     reference_groupby,
     reference_read_perflog,
 )
-from repro.postprocess.store import PerflogStore
 from repro.runner.perflog import PERFLOG_FIELDS
 
 BASELINE_PATH = os.path.join(os.path.dirname(__file__), "..",
@@ -53,9 +46,6 @@ CAMPAIGN_SYSTEMS = [
 ]
 CAMPAIGN_TESTS = 10
 ROWS_PER_FILE = 10_000          # -> 1M rows total
-WORKERS = 4
-REGROWTHS = 5
-GROWTH_ROWS = 200               # appended per file per regrowth
 
 _HEADER = "|".join(PERFLOG_FIELDS)
 
@@ -93,15 +83,6 @@ def make_campaign(root, rows_per_file, n_tests=CAMPAIGN_TESTS):
                 specs.append((path, system, partition, test, seed))
                 seed += 1
     return specs
-
-
-def grow_campaign(specs, n_rows, generation):
-    """Append ``n_rows`` records to every campaign log (no header)."""
-    for path, system, partition, test, seed in specs:
-        rows = synth_rows(system, partition, test, n_rows, seed,
-                          start=1_000_000 + generation * n_rows)
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write("\n".join(rows) + "\n")
 
 
 def prewarm(specs):
@@ -168,18 +149,11 @@ def regenerate_ingest(root):
 
     # bit-identity of the full assimilated campaign
     assert_frames_identical(frame, ref_frame)
-    del ref_frame
-
-    mt_elapsed, frame_mt = timed(
-        lambda: read_perflogs(root, workers=WORKERS)
-    )
-    assert_frames_identical(frame, frame_mt)
     return {
         "n_files": len(specs),
         "n_rows": len(frame),
         "ref_elapsed": ref_elapsed,
         "vec_elapsed": vec_elapsed,
-        "mt_elapsed": mt_elapsed,
     }
 
 
@@ -187,14 +161,12 @@ def test_vectorized_ingest_speedup(once, tmp_path):
     r = once(regenerate_ingest, str(tmp_path / "campaign"))
     ref_rate = r["n_rows"] / r["ref_elapsed"]
     vec_rate = r["n_rows"] / r["vec_elapsed"]
-    mt_rate = r["n_rows"] / r["mt_elapsed"]
     speedup = vec_rate / ref_rate
     emit(
         "Perflog ingest: vectorized block parser vs row-at-a-time reader",
         f"campaign: {r['n_rows']:,} rows across {r['n_files']} perflogs\n"
         f"reference : {ref_rate:,.0f} rows/s\n"
-        f"vectorized: {vec_rate:,.0f} rows/s (serial)\n"
-        f"vectorized: {mt_rate:,.0f} rows/s (workers={WORKERS})\n"
+        f"vectorized: {vec_rate:,.0f} rows/s\n"
         f"speedup   : {speedup:.1f}x",
     )
     assert r["n_rows"] >= 900_000, "campaign is not ~1M rows"
@@ -204,85 +176,7 @@ def test_vectorized_ingest_speedup(once, tmp_path):
         campaign_files=r["n_files"],
         ingest_reference_rows_per_second=round(ref_rate),
         ingest_vectorized_rows_per_second=round(vec_rate),
-        ingest_vectorized_mt_rows_per_second=round(mt_rate),
         ingest_speedup=round(speedup, 2),
-        ingest_workers=WORKERS,
-    )
-
-
-# --------------------------------------------------------------------------
-# 2. cold vs warm incremental re-ingest through the manifest store
-# --------------------------------------------------------------------------
-
-def regenerate_store_regrowth(root):
-    specs = make_campaign(root, ROWS_PER_FILE)
-    prewarm(specs)
-    store = PerflogStore()
-
-    start = time.perf_counter()
-    cold = read_perflogs(root, store=store)
-    cold_elapsed = time.perf_counter() - start
-    cold_rows = len(cold)
-    snap = store.stats.as_dict()
-
-    warm_elapsed = 0.0
-    frame = cold
-    for generation in range(REGROWTHS):
-        grow_campaign(specs, GROWTH_ROWS, generation)
-        start = time.perf_counter()
-        frame = read_perflogs(root, store=store)
-        warm_elapsed += time.perf_counter() - start
-
-    # the incremental result must equal a fresh full parse
-    assert_frames_identical(frame, read_perflogs(root))
-    return {
-        "n_files": len(specs),
-        "cold_rows": cold_rows,
-        "final_rows": len(frame),
-        "cold_elapsed": cold_elapsed,
-        "warm_elapsed": warm_elapsed,
-        "snap": snap,
-        "stats": store.stats,
-    }
-
-
-def test_warm_incremental_reingest(once, tmp_path):
-    r = once(regenerate_store_regrowth, str(tmp_path / "campaign"))
-    stats, snap = r["stats"], r["snap"]
-    warm_lookups = stats.lookups - (snap["hits"] + snap["misses"])
-    warm_hits = stats.hits - snap["hits"]
-    warm_hit_rate = warm_hits / warm_lookups
-    warm_parsed = stats.bytes_parsed - snap["bytes_parsed"]
-    warm_reused = stats.bytes_reused - snap["bytes_reused"]
-    warm_byte_reuse = warm_reused / (warm_parsed + warm_reused)
-    appended_rows = r["final_rows"] - r["cold_rows"]
-    cold_rate = r["cold_rows"] / r["cold_elapsed"]
-    # each warm pass re-assembles the full campaign frame:
-    warm_rate = (r["final_rows"] * REGROWTHS) / r["warm_elapsed"]
-    emit(
-        "Incremental re-ingest: 5 regrowths through the manifest store",
-        f"campaign: {r['cold_rows']:,} rows cold, +{appended_rows:,} "
-        f"appended over {REGROWTHS} regrowths x {r['n_files']} files\n"
-        f"cold : {r['cold_elapsed']:.3f} s ({cold_rate:,.0f} rows/s)\n"
-        f"warm : {r['warm_elapsed']:.3f} s over {REGROWTHS} full re-reads "
-        f"({warm_rate:,.0f} rows/s effective)\n"
-        f"manifest: {warm_hits}/{warm_lookups} warm hits "
-        f"({warm_hit_rate:.1%}), warm byte reuse {warm_byte_reuse:.1%}",
-    )
-    # one full parse per (file, offset): the cold pass pays every miss
-    assert snap["misses"] == r["n_files"]
-    assert stats.misses == snap["misses"], "regrowth caused a re-parse"
-    assert stats.invalidations == 0
-    assert warm_hit_rate >= 0.90
-    assert warm_byte_reuse >= 0.90, "warm re-reads re-parsed old bytes"
-    _update_baseline(
-        store_regrowths=REGROWTHS,
-        store_growth_rows=GROWTH_ROWS * r["n_files"],
-        store_cold_rows_per_second=round(cold_rate),
-        store_warm_rows_per_second=round(warm_rate),
-        store_warm_hit_rate=round(warm_hit_rate, 4),
-        store_warm_byte_reuse_rate=round(warm_byte_reuse, 4),
-        store_warm_speedup=round(warm_rate / cold_rate, 2),
     )
 
 
@@ -295,8 +189,8 @@ SMOKE_TESTS = 2                 # -> 20 files, 40k rows
 
 
 def measure_ingest_smoke(root):
-    """Reduced-size ingest + store measurement shared with the tier-1
-    smoke gate (``tests/postprocess/test_throughput_smoke.py``)."""
+    """Reduced-size ingest measurement shared with the tier-1 smoke
+    gate (``tests/postprocess/test_throughput_smoke.py``)."""
     specs = make_campaign(root, SMOKE_ROWS_PER_FILE, n_tests=SMOKE_TESTS)
     prewarm(specs)
     paths = sorted(path for path, *_ in specs)
@@ -307,26 +201,11 @@ def measure_ingest_smoke(root):
     ))
     vec_elapsed, frame = timed(lambda: read_perflogs(root))
     assert_frames_identical(frame, ref_frame)
-
-    store = PerflogStore()
-    read_perflogs(root, store=store)
-    snap = store.stats.as_dict()
-    for generation in range(REGROWTHS):
-        grow_campaign(specs, 50, generation)
-        grown = read_perflogs(root, store=store)
-    assert_frames_identical(grown, read_perflogs(root))
-    stats = store.stats
-    warm_lookups = stats.lookups - (snap["hits"] + snap["misses"])
-    warm_parsed = stats.bytes_parsed - snap["bytes_parsed"]
-    warm_reused = stats.bytes_reused - snap["bytes_reused"]
     return {
         "n_rows": len(frame),
         "n_files": len(specs),
         "ref_rate": len(frame) / ref_elapsed,
         "vec_rate": len(frame) / vec_elapsed,
-        "warm_hit_rate": (stats.hits - snap["hits"]) / warm_lookups,
-        "warm_byte_reuse": warm_reused / (warm_parsed + warm_reused),
-        "misses": stats.misses,
     }
 
 
@@ -339,12 +218,9 @@ def test_smoke_scale_baseline(once, tmp_path):
         "Smoke-scale ingest baseline (tier-1 gate reference points)",
         f"campaign: {r['n_rows']:,} rows across {r['n_files']} perflogs\n"
         f"reference : {r['ref_rate']:,.0f} rows/s\n"
-        f"vectorized: {r['vec_rate']:,.0f} rows/s ({speedup:.1f}x)\n"
-        f"warm hits : {r['warm_hit_rate']:.1%}, "
-        f"byte reuse {r['warm_byte_reuse']:.1%}",
+        f"vectorized: {r['vec_rate']:,.0f} rows/s ({speedup:.1f}x)",
     )
     assert speedup >= 2.5
-    assert r["warm_hit_rate"] >= 0.90
     _update_baseline(
         smoke_rows=r["n_rows"],
         smoke_files=r["n_files"],
@@ -355,7 +231,7 @@ def test_smoke_scale_baseline(once, tmp_path):
 
 
 # --------------------------------------------------------------------------
-# 3. groupby kernel latency vs the dict-per-row-tuple reference
+# 2. groupby kernel latency vs the dict-per-row-tuple reference
 # --------------------------------------------------------------------------
 
 GROUP_KEYS = ["system", "partition", "test"]

@@ -31,11 +31,6 @@ class RunProvenance:
     system: str
     invocation: List[str] = field(default_factory=list)
     entries: List[Dict[str, Any]] = field(default_factory=list)
-    #: perflog ingest-cache accounting (``PerflogStore.stats.as_dict()``),
-    #: surfaced alongside the per-case concretization-memo hits: whether
-    #: an analytics pass re-parsed history or extended a manifest is as
-    #: provenance-relevant as whether a solve came from the memo table
-    ingest_cache: Optional[Dict[str, Any]] = None
     #: campaign-level resilience accounting (DESIGN.md section 6): the
     #: fault plan + seed in force, retry policy, whether the run resumed
     #: from a journal, and the circuit-breaker outcome.  A retried or
@@ -64,12 +59,6 @@ class RunProvenance:
     #: campaign whose provenance hides that it replayed is archaeology
     #: (DESIGN.md section 8)
     result_cache: Optional[Dict[str, Any]] = None
-
-    def attach_ingest_cache(self, stats: Any) -> None:
-        """Record perflog-store accounting (a ``StoreStats`` or dict)."""
-        self.ingest_cache = (
-            stats.as_dict() if hasattr(stats, "as_dict") else dict(stats)
-        )
 
     def attach_metrics(
         self, snapshot: Any, trace_path: Optional[str] = None,
@@ -178,7 +167,6 @@ class RunProvenance:
                 "system": self.system,
                 "invocation": self.invocation,
                 "cases": self.entries,
-                "ingest_cache": self.ingest_cache,
                 "resilience": self.resilience,
                 "health": self.health,
                 "metrics": self.metrics,
@@ -195,10 +183,10 @@ class RunProvenance:
         doc = json.loads(text)
         prov = cls(system=doc["system"], invocation=doc.get("invocation", []))
         prov.entries = doc.get("cases", [])
-        prov.ingest_cache = doc.get("ingest_cache")
         prov.resilience = doc.get("resilience")
         prov.health = doc.get("health")
         # observability fields arrived later; .get keeps old files loading
+        # (the retired ingest-cache member of older documents is ignored)
         prov.metrics = doc.get("metrics")
         prov.trace_file = doc.get("trace_file")
         prov.live_status = doc.get("live_status")

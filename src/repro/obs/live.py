@@ -28,9 +28,7 @@ The sink is exposed three ways:
    a finished trace file, which is how tests prove live == post-hoc.
 
 ``TailCursor`` gives followers exactly-once incremental reads of the
-status file: it re-implements the seam-digest idea of the ingest
-store's manifest (head probe + seam probe + offset) without importing
-:mod:`repro.postprocess` -- the obs package stays zero-dependency.
+status file from an offset checked by a head probe and a seam probe.
 """
 
 from __future__ import annotations
@@ -109,8 +107,7 @@ def _hist_summary(hist: Histogram) -> Dict[str, Any]:
 class TailCursor:
     """Exactly-once incremental reader for an append-only line file.
 
-    The manifest trick from ``postprocess.store`` applied to tailing:
-    remember ``(offset, head digest, seam digest)`` and on each poll
+    Remember ``(offset, head digest, seam digest)`` and on each poll
     verify that the file still *begins* the same (head probe) and that
     the bytes just before our offset are the ones we already consumed
     (seam probe).  If both hold, everything past ``offset`` is new and

@@ -3,7 +3,7 @@
 Before this PR the campaign's operational counters were scattered --
 ``RunReport`` summary properties (Retried/Resumed/Quarantined/Hung/
 Speculated/Drained), ``CacheStats`` on the concretization memo,
-``StoreStats`` on the perflog ingest cache, heartbeat tallies on the
+``ResultStoreStats`` on the case result store, heartbeat tallies on the
 watchdog.  The :class:`MetricsRegistry` unifies them under one namespace
 so that one snapshot -- attached to :class:`~repro.core.provenance
 .RunProvenance` via ``attach_metrics`` and appended to the trace file --
@@ -328,21 +328,17 @@ class HitStats:
     """Hit/miss accounting for one cache, published as ``PREFIX.*``.
 
     The base of the caches' stats objects (``CacheStats``,
-    ``StoreStats``, ``ResultStoreStats``).  A subclass lists its integer
-    counters in ``FIELDS``, in :meth:`as_dict` order; a name there that
-    the class defines as a property (a derived count) is read, not
-    reset.  ``RATES`` are derived ratios, appended to :meth:`as_dict`
+    ``ResultStoreStats``).  A subclass lists its integer counters in
+    ``FIELDS``, in :meth:`as_dict` order, which ends with ``hit_rate``
     rounded to four places.  ``PREFIX`` is the metrics namespace.
     """
 
     FIELDS: Tuple[str, ...]
-    RATES: Tuple[str, ...] = ("hit_rate",)
     PREFIX: str
 
     def __init__(self) -> None:
         for name in self.FIELDS:
-            if not isinstance(getattr(type(self), name, None), property):
-                setattr(self, name, 0)
+            setattr(self, name, 0)
 
     @property
     def lookups(self) -> int:
@@ -356,16 +352,15 @@ class HitStats:
 
     def as_dict(self) -> Dict[str, Any]:
         doc = {name: getattr(self, name) for name in self.FIELDS}
-        for name in self.RATES:
-            doc[name] = round(getattr(self, name), 4)
+        doc["hit_rate"] = round(self.hit_rate, 4)
         return doc
 
     def publish(self, registry: MetricsRegistry,
                 prefix: Optional[str] = None) -> None:
         """Fold the counts into *registry* as ``prefix.*`` counters.
 
-        The rates are skipped by :meth:`MetricsRegistry.merge_counts`:
-        they are derivable from the counts and would not merge.
+        ``hit_rate`` is skipped by :meth:`MetricsRegistry.merge_counts`:
+        it is derivable from the counts and would not merge.
         """
         registry.merge_counts(prefix or self.PREFIX, self.as_dict())
 

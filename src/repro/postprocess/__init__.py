@@ -15,7 +15,6 @@ from repro.postprocess.perflog_reader import (
     read_perflog,
     read_perflogs,
 )
-from repro.postprocess.store import PerflogStore, StoreStats
 from repro.postprocess.filters import apply_filters, FilterError
 from repro.postprocess.plotting import (
     bar_chart_ascii,
@@ -30,8 +29,6 @@ __all__ = [
     "parse_block",
     "read_perflog",
     "read_perflogs",
-    "PerflogStore",
-    "StoreStats",
     "apply_filters",
     "FilterError",
     "bar_chart_ascii",

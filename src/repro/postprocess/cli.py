@@ -3,17 +3,11 @@
 Usage::
 
     repro-plot perflogs/ --config plot.yaml [--svg out.svg] [--csv]
-              [--cache-dir .perflog-cache] [--cache-stats] [-j N]
 
 With no config the tool prints the assimilated DataFrame.  The config
 drives filtering and the pivot (see :mod:`repro.postprocess.filters`).
-
-``--cache-dir`` persists the incremental ingest manifest
-(:mod:`repro.postprocess.store`) between invocations, so the CI loop
-that re-plots an ever-growing campaign parses only the bytes appended
-since the previous run; ``--cache-stats`` prints the hit/miss accounting
-(the analytics twin of the concretization memo's stats) and ``-j N``
-fans multi-file reads out over a thread pool.
+Every invocation reads each perflog whole, in sorted path order
+(:func:`~repro.postprocess.perflog_reader.read_perflogs`).
 """
 
 from __future__ import annotations
@@ -49,14 +43,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--timeseries", metavar="PERF_VAR",
                         help="render one FOM's history per system as an "
                              "SVG line chart (use with --svg)")
-    parser.add_argument("--cache-dir", metavar="DIR",
-                        help="persist the incremental ingest manifest "
-                             "here; re-runs parse only appended bytes")
-    parser.add_argument("--cache-stats", action="store_true",
-                        help="print ingest-cache hit/miss accounting "
-                             "to stderr")
-    parser.add_argument("-j", "--jobs", type=int, default=1, metavar="N",
-                        help="read perflog files on N parallel threads")
     parser.add_argument("--energy", metavar="PROVENANCE.json",
                         help="join per-case energy telemetry from a "
                              "provenance file: adds 'mean_watts' and "
@@ -107,13 +93,8 @@ def _attach_energy(frame: "DataFrame", provenance_path: str) -> "DataFrame":
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    store = None
-    if args.cache_dir or args.cache_stats:
-        from repro.postprocess.store import PerflogStore
-
-        store = PerflogStore(cache_dir=args.cache_dir)
     try:
-        frame = read_perflogs(args.perflogs, store=store, workers=args.jobs)
+        frame = read_perflogs(args.perflogs)
     except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -123,16 +104,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         except (OSError, ValueError, KeyError) as exc:
             print(f"error: --energy: {exc}", file=sys.stderr)
             return 1
-    if args.cache_stats and store is not None:
-        s = store.stats
-        print(
-            f"ingest cache: {s.hits} hits ({s.full_hits} full, "
-            f"{s.partial_hits} partial), {s.misses} misses, "
-            f"{s.invalidations} invalidated | "
-            f"bytes parsed {s.bytes_parsed}, reused {s.bytes_reused} "
-            f"({s.byte_reuse_rate:.1%} reuse)",
-            file=sys.stderr,
-        )
 
     if args.check_regressions:
         from repro.core.regression import RegressionTracker

@@ -13,9 +13,10 @@ of hashing per-row tuples, ``concat`` is a zero-copy ``np.concatenate``
 per column, ``pivot`` scatters values through integer cell codes, and
 ``filter``/``with_column`` evaluate their callables against a reusable
 row *view* instead of materializing one dict per row.  A pure-Python
-reference implementation of every kernel is retained in
-:mod:`repro.postprocess.reference`; property tests assert the two paths
-are result-identical (the reference is the executable specification).
+reference implementation of every kernel is kept in the test suite
+(``tests/postprocess/reference.py``); property tests assert the two
+paths are result-identical (the reference is the executable
+specification).
 
 Floating-point bit-identity note: group reductions are applied to
 *contiguous slices* of the stably-sorted value column, which contain the

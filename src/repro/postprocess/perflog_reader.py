@@ -12,30 +12,25 @@ numeric columns as float64 -- no per-line dict is ever built.  Clean
 files (the writer's own output) never leave the fast path; padded
 headers, stray blank lines or malformed rows fall back to a strict
 per-line scan that reproduces the historical diagnostics exactly.  The
-pre-vectorization row-at-a-time reader is retained in
-:mod:`repro.postprocess.reference` as the executable specification and
-perf baseline.
+pre-vectorization row-at-a-time reader is kept in the test suite
+(``tests/postprocess/reference.py``) as the executable specification
+and perf baseline.
 
-:func:`read_perflogs` optionally fans multi-file reads out over a thread
-pool (``workers=``) and routes every read through a
-:class:`~repro.postprocess.store.PerflogStore` (``store=``) so re-reading
-a grown append-only campaign log parses only the appended bytes.
+Every caller reads a log whole: a final row without its newline is read
+like any other, and a torn one raises :class:`PerflogFormatError`
+naming ``path:line`` (``repro-fsck`` heals torn tails).
 """
 
 from __future__ import annotations
 
 import glob
 import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.postprocess.dataframe import DataFrame
 from repro.runner.perflog import PERFLOG_FIELDS
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.postprocess.store import PerflogStore
 
 __all__ = ["read_perflog", "read_perflogs", "parse_block",
            "PerflogFormatError"]
@@ -53,7 +48,7 @@ _N_FIELDS = len(PERFLOG_FIELDS)
 
 def _empty_columns() -> Dict[str, np.ndarray]:
     # NB: matches the historical ``from_records([], columns=...)`` dtype
-    # (empty float64) so store/direct/legacy paths stay bit-identical
+    # (empty float64) so the reference reader's frames stay bit-identical
     return {name: np.asarray([]) for name in PERFLOG_FIELDS}
 
 
@@ -84,32 +79,27 @@ def _columns_from_table(
     return cols
 
 
-def _parse_block_slow(
-    lines: List[str], path: str, base_lineno: int
-) -> Tuple[Dict[str, np.ndarray], np.ndarray]:
+def _parse_block_slow(lines: List[str], path: str) -> Dict[str, np.ndarray]:
     """Strict per-line scan for files with padded headers / blanks /
     malformed rows; reproduces the historical diagnostics exactly."""
     kept: List[str] = []
     linenos: List[int] = []
-    for offset, line in enumerate(lines):
+    for lineno, line in enumerate(lines, 1):
         stripped = line.strip()
         if not stripped or stripped == _HEADER_LINE:
             continue
         if len(line.split("|")) != _N_FIELDS:
             raise PerflogFormatError(
-                f"{path}:{base_lineno + offset}: expected {_N_FIELDS} "
+                f"{path}:{lineno}: expected {_N_FIELDS} "
                 f"fields, got {len(line.split('|'))}"
             )
         kept.append(line)
-        linenos.append(base_lineno + offset)
+        linenos.append(lineno)
     if not kept:
-        return _empty_columns(), np.empty(0, dtype=np.int64)
+        return _empty_columns()
     table = np.array("|".join(kept).split("|"), dtype=object)
     table = table.reshape(len(kept), _N_FIELDS)
-    return (
-        _columns_from_table(table, path, np.asarray(linenos)),
-        np.asarray(linenos),
-    )
+    return _columns_from_table(table, path, np.asarray(linenos))
 
 
 def _columns_from_flat(flat: List[str]) -> Dict[str, np.ndarray]:
@@ -132,16 +122,12 @@ def _columns_from_flat(flat: List[str]) -> Dict[str, np.ndarray]:
     return cols
 
 
-def parse_block(
-    text: str, path: str, base_lineno: int = 1
-) -> Tuple[Dict[str, np.ndarray], int]:
-    """Vectorized parse of one perflog byte range -> typed columns.
+def parse_block(text: str, path: str) -> Dict[str, np.ndarray]:
+    """Vectorized parse of one perflog's text -> typed columns.
 
-    Returns ``(columns, n_physical_lines)``; ``base_lineno`` is the
-    1-based file line number of the first line in ``text`` (so error
-    messages from incremental re-ingestion point at the real file line).
-    Header lines anywhere in the block are append-coalescing boundaries
-    and are skipped.
+    ``path`` only names the file in error messages.  Header lines
+    anywhere in the block are append-coalescing boundaries and are
+    skipped.
 
     Clean blocks -- newline-terminated, no blank lines, no ``\\r``, at
     most one leading header (the writer's own output) -- take a
@@ -152,68 +138,61 @@ def parse_block(
     """
     if (text.endswith("\n") and not text.startswith("\n")
             and "\n\n" not in text and "\r" not in text):
-        n_phys = text.count("\n")
         body = text
         if body.startswith(_HEADER_TEXT):
             body = body[len(_HEADER_TEXT):]
         if not body:
-            return _empty_columns(), n_phys
+            return _empty_columns()
         if not (body.startswith(_HEADER_TEXT)
                 or ("\n" + _HEADER_TEXT) in body):
             n_rows = body.count("\n")
             flat = body[:-1].replace("\n", "|").split("|")
             if len(flat) == _N_FIELDS * n_rows:
                 try:
-                    return _columns_from_flat(flat), n_phys
+                    return _columns_from_flat(flat)
                 except PerflogFormatError:
                     pass  # general path localizes the bad line/header
     lines = text.splitlines()
-    n_phys = len(lines)
     if not lines:
-        return _empty_columns(), 0
-    if base_lineno == 1:
-        first = lines[0].strip()
-        if first.startswith("timestamp|") and first != _HEADER_LINE:
-            raise PerflogFormatError(
-                f"{path}: unexpected header {tuple(first.split('|'))}"
-            )
+        return _empty_columns()
+    first = lines[0].strip()
+    if first.startswith("timestamp|") and first != _HEADER_LINE:
+        raise PerflogFormatError(
+            f"{path}: unexpected header {tuple(first.split('|'))}"
+        )
     arr = np.array(lines, dtype=object)
     keep = (arr != _HEADER_LINE) & (arr != "")
     kept = arr[keep].tolist()
     if not kept:
-        return _empty_columns(), n_phys
+        return _empty_columns()
     flat = "|".join(kept).split("|")
     if len(flat) != _N_FIELDS * len(kept):
         # whitespace-padded headers, space-only lines or malformed rows:
         # take the strict per-line path for exact diagnostics
-        cols, _ = _parse_block_slow(lines, path, base_lineno)
-        return cols, n_phys
+        return _parse_block_slow(lines, path)
     table = np.array(flat, dtype=object).reshape(len(kept), _N_FIELDS)
     # line numbers are only materialized lazily, on a conversion error
-    linenos = _LazyLinenos(keep, base_lineno)
     try:
-        cols = _columns_from_table(table, path, linenos)
+        return _columns_from_table(table, path, _LazyLinenos(keep))
     except PerflogFormatError:
         # a whitespace-padded header can masquerade as a 12-field data
         # row; the strict scan strips and skips it -- or re-raises the
         # same diagnostic if the row is genuinely malformed
-        cols, _ = _parse_block_slow(lines, path, base_lineno)
-    return cols, n_phys
+        return _parse_block_slow(lines, path)
 
 
 class _LazyLinenos:
     """Defers the keep-mask -> line-number conversion to the error path."""
 
-    __slots__ = ("_keep", "_base", "_resolved")
+    __slots__ = ("_keep", "_resolved")
 
-    def __init__(self, keep: np.ndarray, base: int):
+    def __init__(self, keep: np.ndarray):
         self._keep = keep
-        self._base = base
         self._resolved: Optional[np.ndarray] = None
 
     def __getitem__(self, i: int) -> int:
         if self._resolved is None:
-            self._resolved = np.flatnonzero(self._keep) + self._base
+            self._resolved = np.flatnonzero(self._keep) + 1
         return int(self._resolved[i])
 
 
@@ -229,7 +208,7 @@ def _frame_from_columns(cols: Dict[str, np.ndarray], path: str) -> DataFrame:
     return frame
 
 
-def read_perflog(path: str, store: "Optional[PerflogStore]" = None) -> DataFrame:
+def read_perflog(path: str) -> DataFrame:
     """One perflog file -> DataFrame (header line is validated).
 
     Appended/concatenated logs are **coalesced**: perflogs are append-only
@@ -238,30 +217,16 @@ def read_perflog(path: str, store: "Optional[PerflogStore]" = None) -> DataFrame
     header lines mid-file.  Any line matching the canonical header is
     treated as a segment boundary and skipped, so a coalesced log reads
     exactly like one continuous perflog.  The whole file is parsed
-    block-wise (see :func:`parse_block`); with ``store=`` given, the
-    parse is served from / recorded in the incremental ingest cache and
-    only bytes appended since the last read are parsed.
+    block-wise (see :func:`parse_block`).
     """
-    if store is not None:
-        cols = store.read(path)
-    else:
-        with open(path, "rb") as fh:
-            text = fh.read().decode("utf-8")
-        cols, _ = parse_block(text, path, 1)
-    return _frame_from_columns(cols, path)
+    with open(path, "rb") as fh:
+        text = fh.read().decode("utf-8")
+    return _frame_from_columns(parse_block(text, path), path)
 
 
-def read_perflogs(
-    prefix_or_glob: str,
-    store: "Optional[PerflogStore]" = None,
-    workers: Optional[int] = None,
-) -> DataFrame:
-    """All perflogs under a directory (or matching a glob), concatenated.
-
-    ``workers > 1`` reads files on a thread pool (order-preserving, so
-    the concatenated frame is byte-identical to the serial read);
-    ``store`` threads every read through the incremental ingest cache.
-    """
+def read_perflogs(prefix_or_glob: str) -> DataFrame:
+    """All perflogs under a directory (or matching a glob), concatenated
+    in sorted path order."""
     if os.path.isdir(prefix_or_glob):
         paths = sorted(
             glob.glob(os.path.join(prefix_or_glob, "**", "*.log"),
@@ -271,12 +236,4 @@ def read_perflogs(
         paths = sorted(glob.glob(prefix_or_glob))
     if not paths:
         raise FileNotFoundError(f"no perflogs under {prefix_or_glob!r}")
-    if workers and workers > 1 and len(paths) > 1:
-        with ThreadPoolExecutor(
-            max_workers=min(workers, len(paths))
-        ) as pool:
-            frames = list(pool.map(lambda p: read_perflog(p, store=store),
-                                   paths))
-    else:
-        frames = [read_perflog(p, store=store) for p in paths]
-    return DataFrame.concat(frames)
+    return DataFrame.concat([read_perflog(p) for p in paths])

@@ -18,8 +18,8 @@ re-execute only the invalidated delta.  This module is that store:
   the case's **verbatim perflog lines** and its **verbatim encoded
   trace lines** -- enough for ``repro-bench --result-store DIR`` to
   *replay* the case byte-identically instead of re-running it;
-* :class:`ResultStoreStats` mirrors the ``CacheStats`` /
-  ``StoreStats`` accounting idiom (hits / misses / invalidated /
+* :class:`ResultStoreStats` mirrors the concretization memo's
+  ``CacheStats`` accounting idiom (hits / misses / invalidated /
   corrupted), published to the metrics registry under
   ``resultstore.*``.
 

@@ -146,7 +146,10 @@ def submit_fleet(tmp_path, suite, n, storm=True, **spec_overrides):
             journal=str(tmp_path / f"journal-{i}.jsonl"),
             **spec_overrides,
         )
-        ids.append(queue.submit(spec.to_doc(), now=queue.max_time()))
+        # an explicit id: a derived one hashes the spec, which holds
+        # tmp_path, and the supervisor-crash clause selects by id
+        ids.append(queue.submit(spec.to_doc(), campaign_id=f"fleet-{i}",
+                                now=queue.max_time()))
     return queue, ids
 
 

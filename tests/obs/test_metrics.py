@@ -162,51 +162,28 @@ class TestStatsPublishers:
         assert counters["concretize.misses"] == 2
         assert "concretize.hit_rate" not in counters  # derivable, skipped
 
-    def test_store_stats_publish(self):
-        from repro.postprocess.store import StoreStats
-
-        stats = StoreStats()
-        stats.misses = 4
-        reg = MetricsRegistry()
-        stats.publish(reg)
-        assert reg.snapshot()["counters"]["ingest.misses"] == 4
-
     def test_stats_dict_key_order_is_pinned(self):
         """Provenance, metrics and --cache-stats bytes follow this order."""
         from repro.pkgmgr.memo import CacheStats
-        from repro.postprocess.store import StoreStats
         from repro.runner.results import ResultStoreStats
 
         assert list(CacheStats().as_dict()) == [
             "hits", "misses", "evictions", "hit_rate"]
-        assert list(StoreStats().as_dict()) == [
-            "full_hits", "partial_hits", "hits", "misses", "invalidations",
-            "bytes_parsed", "bytes_reused", "rows_parsed", "rows_reused",
-            "hit_rate", "byte_reuse_rate"]
         assert list(ResultStoreStats().as_dict()) == [
             "hits", "misses", "invalidated", "corrupted", "evictions",
             "puts", "hit_rate"]
 
     def test_derived_counts_and_rates(self):
-        from repro.postprocess.store import StoreStats
         from repro.runner.results import ResultStoreStats
 
-        stats = StoreStats()
-        stats.full_hits, stats.partial_hits, stats.misses = 2, 1, 1
-        stats.bytes_parsed, stats.bytes_reused = 1, 2
-        doc = stats.as_dict()
-        assert (doc["hits"], doc["hit_rate"], doc["byte_reuse_rate"]) == \
-            (3, 0.75, 0.6667)
-        reg = MetricsRegistry()
-        stats.publish(reg)
-        counters = reg.snapshot()["counters"]
-        assert counters["ingest.hits"] == 3  # a derived count still merges
-        assert "ingest.byte_reuse_rate" not in counters
         rs = ResultStoreStats()
-        rs.hits, rs.misses = 1, 3
+        rs.hits, rs.misses = 2, 1
+        assert rs.lookups == 3 and rs.as_dict()["hit_rate"] == 0.6667
+        reg = MetricsRegistry()
         rs.publish(reg)
-        assert reg.snapshot()["counters"]["resultstore.misses"] == 3
-        assert rs.lookups == 4 and rs.hit_rate == 0.25
+        counters = reg.snapshot()["counters"]
+        assert counters["resultstore.misses"] == 1
+        assert "resultstore.hit_rate" not in counters  # derivable
 
 
 class TestMergeSnapshot:

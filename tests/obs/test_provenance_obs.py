@@ -63,8 +63,10 @@ class TestBackCompat:
         assert prov.trace_file is None
         assert prov.entries == [{"test": "t", "passed": True}]
         # and it re-serializes without error, now carrying the new keys
+        # and without the retired ingest_cache member
         doc = json.loads(prov.to_json())
         assert doc["metrics"] is None and doc["trace_file"] is None
+        assert "ingest_cache" not in doc
 
     def test_old_journal_records_replay_without_energy(self):
         """Journal records written before the energy field still replay."""

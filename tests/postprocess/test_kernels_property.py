@@ -1,6 +1,6 @@
 """Property tests: vectorized kernels == pure-Python reference.
 
-The reference implementations in :mod:`repro.postprocess.reference` are
+The reference implementations in :mod:`tests.postprocess.reference` are
 the executable specification; hypothesis drives randomized frames (mixed
 dtypes, missing columns, duplicate keys, empty groups) through both
 paths and requires *result-identical* output -- values, column order,
@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.postprocess.dataframe import DataFrame, DataFrameError
-from repro.postprocess.reference import (
+from tests.postprocess.reference import (
     reference_concat,
     reference_filter,
     reference_groupby,

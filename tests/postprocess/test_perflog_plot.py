@@ -67,6 +67,57 @@ class TestPerflogReader:
             read_perflog(str(bad))
 
 
+def _record(value, test="T"):
+    return "|".join([
+        "2026-01-01T00:00:00", "repro-1.0.0", test, "sys", "part", "gcc",
+        "stream@1.0", "8", "Triad", f"{value:.6g}", "GB/s", "pass",
+    ])
+
+
+def _write_log(path, values, tail=""):
+    """A perflog whose last line is *tail*, written with no newline."""
+    from repro.runner.perflog import PERFLOG_FIELDS
+
+    lines = ["|".join(PERFLOG_FIELDS)] + [_record(v) for v in values]
+    path.write_text("\n".join(lines) + "\n" + tail)
+
+
+class TestPerflogTail:
+    """A log is read whole: its last line is a row, complete or not."""
+
+    def test_unterminated_final_row_is_read(self, tmp_path, capsys):
+        log = tmp_path / "a.log"
+        _write_log(log, [1.0, 2.0], tail=_record(3.0))
+        frame = read_perflog(str(log))
+        assert list(frame["perf_value"]) == [1.0, 2.0, 3.0]
+        assert plot_main([str(tmp_path), "--csv"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 4 and out[-1].split(",")[9] == "3.0"
+
+    def test_torn_final_row_names_file_and_line(self, tmp_path):
+        log = tmp_path / "a.log"
+        _write_log(log, [1.0, 2.0], tail="|".join(_record(3.0).split("|")[:6]))
+        with pytest.raises(PerflogFormatError,
+                           match=r"a\.log:4: expected 12 fields, got 6$"):
+            read_perflog(str(log))
+
+    def test_plot_cli_rejects_torn_tree(self, tmp_path, capsys):
+        _write_log(tmp_path / "a.log", [1.0], tail="2026|repro|T")
+        _write_log(tmp_path / "b.log", [1.0])
+        assert plot_main([str(tmp_path), "--csv"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "a.log:3: expected 12 fields, got 3" in captured.err
+
+    def test_coalesced_headers_read_as_one_log(self, tmp_path):
+        _write_log(tmp_path / "one.log", [1.0, 2.0])
+        _write_log(tmp_path / "two.log", [3.0])
+        cat = tmp_path / "cat.log"
+        cat.write_text((tmp_path / "one.log").read_text()
+                       + (tmp_path / "two.log").read_text())
+        assert list(read_perflog(str(cat))["perf_value"]) == [1.0, 2.0, 3.0]
+
+
 class TestFilters:
     def frame(self):
         return DataFrame(
