@@ -369,7 +369,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             "result store: "
             f"{rc['hits']} hit(s), {rc['misses']} miss(es), "
             f"{rc['invalidated']} invalidated, "
-            f"{rc['corrupted']} corrupted, {rc['evictions']} evicted "
+            f"{rc['corrupted']} corrupted "
             f"(hit rate {100.0 * rc['hit_rate']:.1f}%)",
             file=sys.stderr,
         )

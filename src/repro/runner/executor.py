@@ -952,6 +952,12 @@ class Executor:
                 # trace flush so store_entry can capture the encoded
                 # span lines the tracer just wrote for this case.
                 store_entry(result)
+            if result.replayed:
+                # committed: rows emitted, journal record made, spans
+                # flushed.  Drop the decoded entry and its span bundle,
+                # so a finished replay leaves no tree for the GC to walk
+                result._replay = None
+                result._trace = None
             if failed:
                 breaker.record_failure()
                 if breaker.tripped:

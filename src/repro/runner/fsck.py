@@ -21,7 +21,9 @@ What each artifact class gets:
 * **Perflogs** -- each ``.sums`` range is re-checksummed; repair
   rebuilds the log from the valid ranges plus any complete uncovered
   tail lines, then regenerates the sidecar.  Without a sidecar only a
-  torn (unterminated) tail is healable.
+  torn tail is healable: an unterminated last line that the perflog
+  reader would reject.  An unterminated line it reads as a whole row is
+  kept, terminated and covered by the new sidecar.
 * **Result store** -- every ``pack.jsonl`` line must carry a verifying
   sealed entry; repair rewrites the pack atomically from the intact
   lines, in the bytes ``put`` writes (a dropped entry is a store miss,
@@ -40,7 +42,7 @@ import os
 import sys
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.obs.jsonl import scan_jsonl, seal_line, write_jsonl_atomic
+from repro.obs.jsonl import scan_jsonl, write_jsonl_atomic
 from repro.runner.perflog import (
     _range_ok, _read_sums, _sums_entries, sums_path, verify_sums,
 )
@@ -97,6 +99,32 @@ def _replace(path: str, data: bytes) -> None:
     os.replace(tmp, path)
 
 
+def _is_row(tail: bytes, path: str) -> bool:
+    """Whether an unterminated last line is whole by the reader's test.
+
+    ``repro-plot`` reads a last row that lacks only its newline, so fsck
+    counts the tail torn exactly when :func:`parse_block` rejects it.
+    """
+    from repro.postprocess.perflog_reader import (
+        PerflogFormatError, parse_block,
+    )
+
+    try:
+        parse_block(tail.decode("utf-8"), path)
+    except (UnicodeDecodeError, PerflogFormatError):
+        return False
+    return True
+
+
+def _whole_lines(data: bytes, path: str) -> bytes:
+    """*data*'s complete lines, an unterminated whole row terminated."""
+    cut = data.rfind(b"\n") + 1
+    tail = data[cut:]
+    if tail and _is_row(tail, path):
+        return data + b"\n"
+    return data[:cut]
+
+
 def fsck_perflog(path: str, repair: bool = False) -> Dict[str, Any]:
     """Verify one perflog against its sidecar; heal damaged ranges."""
     report = verify_sums(path)
@@ -106,27 +134,25 @@ def fsck_perflog(path: str, repair: bool = False) -> Dict[str, Any]:
             data = fh.read()
     except OSError:
         data = b""
-    # a torn (unterminated) tail is damage even without a sidecar
-    torn_tail = bool(data) and not data.endswith(b"\n")
-    checked = int(report["covered"]) or data.count(b"\n")
+    # a torn (unterminated, not whole) tail is damage even without a
+    # sidecar; a whole last row that lacks its newline is data
+    tail = data[data.rfind(b"\n") + 1:]
+    torn_tail = bool(tail) and not _is_row(tail, path)
+    checked = int(report["covered"]) or data.count(b"\n") + bool(tail)
     problems = invalid + (1 if torn_tail else 0)
     healed = 0
     if problems and repair:
         ranges = [r for r in _read_sums(path) if r is not None]
-        if ranges:
-            keep = bytearray()
-            end = 0
-            for start, length, crc in ranges:
-                if _range_ok(data, start, length, crc):
-                    keep.extend(data[start:start + length])
-                end = max(end, start + length)
-            # rows appended without a sidecar are unverifiable but
-            # keepable when they are complete lines
-            tail = data[end:]
-            keep.extend(tail[: tail.rfind(b"\n") + 1])
-            healed_data = bytes(keep)
-        else:
-            healed_data = data[: data.rfind(b"\n") + 1]
+        keep = bytearray()
+        end = 0
+        for start, length, crc in ranges:
+            if _range_ok(data, start, length, crc):
+                keep.extend(data[start:start + length])
+            end = max(end, start + length)
+        # rows appended without a sidecar are unverifiable but
+        # keepable when they are whole lines
+        keep.extend(_whole_lines(data[end:], path))
+        healed_data = bytes(keep)
         _replace(path, healed_data)
         entries, _ = _sums_entries(0, healed_data)
         _replace(sums_path(path),
@@ -139,26 +165,27 @@ def fsck_perflog(path: str, repair: bool = False) -> Dict[str, Any]:
 def fsck_store(root: str, repair: bool = False) -> Dict[str, Any]:
     """Verify a :class:`CaseResultStore`'s pack, one pass over its lines.
 
-    Repair keeps the intact lines, in order, re-sealed exactly as
-    ``put`` writes them; the torn and rotten ones drop.
+    Lines are verified as the store loads them.  Repair keeps the intact
+    lines, in order, in the bytes ``put`` writes: a line in the sealed
+    layout is spliced verbatim, one an older writer laid out is
+    re-sealed; the torn and rotten ones drop.
     """
     pack_file = os.path.join(root, "pack.jsonl")
-    intact: List[Tuple[str, Dict[str, Any]]] = []
+    intact: List[Tuple[str, str]] = []
     checked = 0
     try:
         with open(pack_file, encoding="utf-8", errors="replace") as fh:
             for line in fh:
                 checked += 1
-                key, entry = _unpack_line(line)
-                if entry is not None:
-                    intact.append((key, entry))
+                key, sealed = _unpack_line(line)
+                if sealed is not None:
+                    intact.append((key, sealed))
     except OSError:
         pass
     invalid = checked - len(intact)
     healed = 0
     if invalid and repair:
-        body = "".join(_pack_line(key, seal_line(entry))
-                       for key, entry in intact)
+        body = "".join(_pack_line(key, sealed) for key, sealed in intact)
         _replace(pack_file, body.encode("utf-8"))
         healed = invalid
     return _report("store", root, checked, invalid, healed)

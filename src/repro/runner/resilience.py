@@ -32,14 +32,17 @@ byte-identical to a fault-free serial run.
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import inspect
 import json
+import linecache
 import os
+import sys
 import threading
 import weakref
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Union
+from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.faults import FaultClock, InjectedFault, unit_hash
 from repro.obs.jsonl import JsonlAppender, read_jsonl, write_jsonl_atomic
@@ -387,10 +390,15 @@ def case_fingerprint(case: Any) -> str:
 #: Weak-keyed so a hashed class can still be garbage collected.
 _SOURCE_HASH_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
-#: per-class source text: ``inspect.getsource`` re-parses a class's whole
-#: module on every call, and a framework base (``RegressionTest``) sits
-#: in the MRO of every leaf class hashed
+#: per-class source text: a framework base (``RegressionTest``) sits in
+#: the MRO of every leaf class hashed, so each class is looked up once
 _SOURCE_TEXT_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+#: per-file class index: path -> (the file's ``linecache`` lines, class
+#: qualname -> index of its first line).  ``linecache.checkcache`` swaps
+#: in a new line list when the file changes on disk, so the index is
+#: current exactly while its lines are the ones ``linecache`` serves.
+_CLASS_STARTS: Dict[str, Tuple[List[str], Dict[str, int]]] = {}
 
 #: JSON-able class attributes folded into the source hash.  Factory-made
 #: classes (the sweep benches build them with ``type()``/``setattr``)
@@ -432,12 +440,73 @@ def _class_source(klass: type) -> str:
     """*klass*'s source text (or a stable placeholder), read once."""
     text = _SOURCE_TEXT_CACHE.get(klass)
     if text is None:
-        try:
-            text = inspect.getsource(klass)
-        except (OSError, TypeError):
+        text = _find_class_source(klass)
+        if text is None:
             text = f"<no-source:{klass.__module__}.{klass.__qualname__}>"
         _SOURCE_TEXT_CACHE[klass] = text
     return text
+
+
+#: AST nodes whose list fields can hold statements: a class or function
+#: definition is a statement, so no expression needs a visit
+_BLOCK_NODES = (ast.stmt, ast.excepthandler, ast.match_case)
+
+
+def _index_classes(body: List[Any], scope: Tuple[str, ...],
+                   starts: Dict[str, int]) -> None:
+    """Map every class qualname under *body* to the index of its first
+    line, as ``inspect.findsource`` finds one class on Python 3.10-3.12:
+    a function adds ``<locals>`` to the qualname, the first definition
+    in its walk order (depth first, fields in order) wins, and a
+    decorated class starts at its first decorator.
+    """
+    for node in body:
+        inner = scope
+        if isinstance(node, ast.ClassDef):
+            inner = scope + (node.name,)
+            first = node.decorator_list[0] if node.decorator_list else node
+            starts.setdefault(".".join(inner), first.lineno - 1)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = scope + (node.name, "<locals>")
+        for _, value in ast.iter_fields(node):
+            if (isinstance(value, list) and value
+                    and isinstance(value[0], _BLOCK_NODES)):
+                _index_classes(value, inner, starts)
+
+
+def _find_class_source(klass: type) -> Optional[str]:
+    """The text ``inspect.getsource(klass)`` returns on Python 3.10-3.12,
+    or ``None`` where it raises; each source file is parsed once.
+
+    Pinned to those versions' lookup (file by the class's module, class
+    by qualname) rather than delegated to ``inspect``, whose lookup
+    changed in 3.13: a store key must not depend on the interpreter.
+    """
+    try:
+        path = inspect.getsourcefile(klass)
+    except (OSError, TypeError):  # a built-in or ``__main__`` class
+        return None
+    if not path:
+        return None
+    linecache.checkcache(path)
+    module = sys.modules.get(klass.__module__)
+    lines = linecache.getlines(
+        path, module.__dict__ if module is not None else None
+    )
+    if not lines:
+        return None
+    memo = _CLASS_STARTS.get(path)
+    if memo is None or memo[0] is not lines:
+        starts: Dict[str, int] = {}
+        try:
+            _index_classes(ast.parse("".join(lines)).body, (), starts)
+        except (SyntaxError, ValueError):
+            pass  # unparsable text on disk: no class has source
+        memo = _CLASS_STARTS[path] = (lines, starts)
+    start = memo[1].get(klass.__qualname__)
+    if start is None:
+        return None
+    return "".join(inspect.getblock(lines[start:]))
 
 
 def _sha_text(text: str) -> str:

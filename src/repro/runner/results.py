@@ -37,7 +37,7 @@ import threading
 from typing import Any, Dict, Optional, Set, Tuple, Union
 
 from repro.iofaults import FaultyIO
-from repro.obs.jsonl import seal_line, verify_line
+from repro.obs.jsonl import _seal_member, seal_line, verify_line
 from repro.obs.metrics import HitStats
 from repro.runner.resilience import (
     benchmark_source_hash,
@@ -69,13 +69,15 @@ def _pack_line(key: str, sealed: str) -> str:
     return '{"key":%s,"entry":%s}\n' % (json.dumps(key), sealed)
 
 
-def _unpack_line(
-    line: str,
-) -> Tuple[Optional[str], Optional[Dict[str, Any]]]:
-    """``(key, verified entry)`` from one pack line.
+def _unpack_line(line: str) -> Tuple[Optional[str], Optional[str]]:
+    """``(key, verified sealed entry text)`` from one pack line.
 
-    A damaged entry yields ``(key, None)`` while the key is still
-    legible (so a lookup can count it ``corrupted``), and
+    A line in :func:`~repro.obs.jsonl.seal_line`'s layout is verified by
+    a CRC over its stored bytes and its text kept as it is, with no
+    decode; a line an older writer laid out otherwise is verified by a
+    decode and re-sealed, so the text always reads back as ``put``
+    writes it.  A damaged entry yields ``(key, None)`` while the key is
+    still legible (so a lookup can count it ``corrupted``), and
     ``(None, None)`` when not even the key survived.
     """
     line = line.rstrip("\n")
@@ -88,7 +90,50 @@ def _unpack_line(
         return None, None
     if not line.endswith("}"):
         return key, None
-    return key, verify_line(line[end + len(sep):-1])
+    text = line[end + len(sep):-1]
+    member = _seal_member(text)
+    if member == "cs":
+        return key, text
+    if member is None:
+        entry = verify_line(text)
+        if entry is not None:
+            return key, seal_line(entry)
+    return key, None
+
+
+#: how the top-level fingerprint member starts in sealed entry text
+_FINGERPRINT = '"fingerprint": '
+
+
+def _entry_fingerprint(sealed: str) -> Any:
+    """The ``fingerprint`` member of sealed entry text, mostly undecoded.
+
+    Sealed text is canonical ``sort_keys`` JSON, so every ``"`` inside a
+    string is escaped and a ``"fingerprint": `` match is a real member
+    name.  With no ``{`` before it but the entry's own, that member is
+    at the top level; anything less plain is settled by a decode.
+    """
+    at = sealed.find(_FINGERPRINT)
+    if at < 0:
+        return None
+    start = at + len(_FINGERPRINT)
+    if sealed.find("{", 1, at) < 0 and sealed.startswith('"', start):
+        end = sealed.find('"', start + 1)
+        value = sealed[start + 1:end]
+        if end > 0 and "\\" not in value:
+            return value
+    entry = _decode_entry(sealed)
+    return None if entry is None else entry.get("fingerprint")
+
+
+def _decode_entry(sealed: str) -> Optional[Dict[str, Any]]:
+    """The entry dict of verified sealed text (``None`` if unreadable)."""
+    try:
+        entry = json.loads(sealed)
+    except ValueError:
+        return None
+    del entry["cs"]
+    return entry
 
 
 class ResultStoreStats(HitStats):
@@ -98,13 +143,10 @@ class ResultStoreStats(HitStats):
     case identity exists under a different composite key -- the case
     was invalidated by an edit, not simply never seen; ``corrupted``
     counts unreadable/torn/version-skewed entries tolerated as misses.
-    ``evictions`` is always 0 (the store does not evict); it stays in
-    the published ``resultstore.*`` namespace so metrics snapshots keep
-    their shape.
+    The store never evicts, so it has no eviction counter.
     """
 
-    FIELDS = ("hits", "misses", "invalidated", "corrupted", "evictions",
-              "puts")
+    FIELDS = ("hits", "misses", "invalidated", "corrupted", "puts")
     PREFIX = "resultstore"
 
 
@@ -221,10 +263,12 @@ class CaseResultStore:
     ``{"key", "entry"}`` line per :meth:`put`, appended as it happens,
     each entry CRC-sealed.  It is loaded *once* per process, so a warm
     campaign pays one sequential read instead of one open+parse per
-    case.  A key put twice keeps its last line; a damaged, torn or
-    version-skewed line is a miss counted ``corrupted``.  A crash can
-    only tear the final line, and the next append terminates that
-    fragment first so it never swallows a good line.
+    case.  Loading checks each line's CRC and keeps its entry as sealed
+    text; a :meth:`lookup` decodes just the line it serves.  A key put
+    twice keeps its last line; a damaged, torn or version-skewed line is
+    a miss counted ``corrupted``.  A crash can only tear the final line,
+    and the next append terminates that fragment first so it never
+    swallows a good line.
 
     The identity index (case fingerprint -> latest key) is rebuilt from
     the lines in put order.  It is what distinguishes *invalidated*
@@ -246,8 +290,10 @@ class CaseResultStore:
         self.stats = ResultStoreStats()
         self._pack_file = os.path.join(self.root, "pack.jsonl")
         os.makedirs(self.root, exist_ok=True)
-        #: key -> entry in last-put order (lazy-loaded with the rest)
-        self._pack: Optional[Dict[str, Dict[str, Any]]] = None
+        #: key -> verified sealed entry text, in last-put order
+        #: (lazy-loaded with the rest); text, not a decoded tree, so a
+        #: loaded pack costs the cyclic GC nothing to walk
+        self._pack: Optional[Dict[str, str]] = None
         #: fingerprint -> latest composite key
         self._index: Dict[str, str] = {}
         #: keys whose only lines are damaged or torn
@@ -316,9 +362,9 @@ class CaseResultStore:
         )
 
     # -- the pack -----------------------------------------------------------
-    def _load_locked(self) -> Dict[str, Dict[str, Any]]:
+    def _load_locked(self) -> Dict[str, str]:
         if self._pack is None:
-            pack: Dict[str, Dict[str, Any]] = {}
+            pack: Dict[str, str] = {}
             line = "\n"
             try:
                 # errors="replace": a rotted byte fails its line's CRC
@@ -327,14 +373,14 @@ class CaseResultStore:
                           errors="replace") as fh:
                     for line in fh:
                         self._lines += 1
-                        key, entry = _unpack_line(line)
-                        if entry is None:
+                        key, sealed = _unpack_line(line)
+                        if sealed is None:
                             if key is not None:
                                 self._damaged.add(key)
                             continue
                         pack.pop(key, None)  # keep last-put order
-                        pack[key] = entry
-                        fingerprint = entry.get("fingerprint")
+                        pack[key] = sealed
+                        fingerprint = _entry_fingerprint(sealed)
                         if fingerprint:
                             self._index[fingerprint] = key
             except OSError:
@@ -347,7 +393,7 @@ class CaseResultStore:
     def _compact_locked(self) -> None:
         pack = self._load_locked()
         body = "".join(
-            _pack_line(key, seal_line(entry)) for key, entry in pack.items()
+            _pack_line(key, sealed) for key, sealed in pack.items()
         )
         self._io.write_atomic(self._pack_file, body.encode("utf-8"),
                               "store", sync=False)
@@ -382,9 +428,11 @@ class CaseResultStore:
         before and an edit invalidated it.
         """
         with self._lock:
-            entry = self._load_locked().get(key)
+            sealed = self._load_locked().get(key)
+            # one line decoded per lookup: the pack itself stays text
+            entry = None if sealed is None else _decode_entry(sealed)
             if entry is None:
-                if key in self._damaged:
+                if sealed is not None or key in self._damaged:
                     self.stats.corrupted += 1
             elif entry.get("version") != ENTRY_VERSION:
                 self.stats.corrupted += 1
@@ -403,7 +451,8 @@ class CaseResultStore:
 
     def put(self, key: str, entry: Dict[str, Any]) -> None:
         """Append one entry's line to the pack and index it."""
-        line = _pack_line(key, seal_line(entry))
+        sealed = seal_line(entry)
+        line = _pack_line(key, sealed)
         with self._lock:
             pack = self._load_locked()
             if self._torn_tail:
@@ -415,7 +464,7 @@ class CaseResultStore:
             self._torn_tail = False
             self.stats.puts += 1
             pack.pop(key, None)
-            pack[key] = entry
+            pack[key] = sealed
             fingerprint = entry.get("fingerprint")
             if fingerprint:
                 self._index[fingerprint] = key

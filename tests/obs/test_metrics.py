@@ -170,8 +170,8 @@ class TestStatsPublishers:
         assert list(CacheStats().as_dict()) == [
             "hits", "misses", "evictions", "hit_rate"]
         assert list(ResultStoreStats().as_dict()) == [
-            "hits", "misses", "invalidated", "corrupted", "evictions",
-            "puts", "hit_rate"]
+            "hits", "misses", "invalidated", "corrupted", "puts",
+            "hit_rate"]
 
     def test_derived_counts_and_rates(self):
         from repro.runner.results import ResultStoreStats

@@ -118,6 +118,55 @@ class TestPerflogTail:
         assert list(read_perflog(str(cat))["perf_value"]) == [1.0, 2.0, 3.0]
 
 
+class TestFsckAgreesWithReader:
+    """``repro-fsck`` calls a tail torn only when ``repro-plot`` would."""
+
+    @staticmethod
+    def csv_values(tmp_path, capsys):
+        capsys.readouterr()  # drop what fsck printed
+        assert plot_main([str(tmp_path), "--csv"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        return [line.split(",")[9] for line in out[1:]]
+
+    def test_repair_keeps_a_whole_unterminated_row(self, tmp_path, capsys):
+        from repro.runner.fsck import fsck_perflog, main as fsck_main
+
+        _write_log(tmp_path / "a.log", [1.0], tail=_record(2.0))
+        assert self.csv_values(tmp_path, capsys) == ["1.0", "2.0"]
+        report = fsck_perflog(str(tmp_path / "a.log"))
+        assert (report["checked"], report["invalid"]) == (3, 0)
+        assert fsck_main([str(tmp_path)]) == 0
+        for _ in range(2):
+            assert fsck_main(["--repair", str(tmp_path)]) == 0
+            assert self.csv_values(tmp_path, capsys) == ["1.0", "2.0"]
+
+    def test_repair_terminates_and_covers_a_whole_row(self, tmp_path,
+                                                      capsys):
+        from repro.runner.fsck import main as fsck_main
+        from repro.runner.perflog import sums_path, verify_sums
+
+        log = tmp_path / "a.log"
+        _write_log(log, [1.0], tail=_record(2.0))
+        # one malformed sidecar line is the damage that makes repair run
+        with open(sums_path(str(log)), "w", encoding="utf-8") as fh:
+            fh.write("not a range\n")
+        assert fsck_main([str(log)]) == 1
+        assert fsck_main(["--repair", str(log)]) == 0
+        assert log.read_text().endswith(_record(2.0) + "\n")
+        report = verify_sums(str(log))
+        assert (report["covered"], report["invalid"]) == (3, [])
+        assert report["uncovered_bytes"] == 0
+        assert self.csv_values(tmp_path, capsys) == ["1.0", "2.0"]
+
+    def test_torn_tail_is_still_dropped(self, tmp_path, capsys):
+        from repro.runner.fsck import main as fsck_main
+
+        _write_log(tmp_path / "a.log", [1.0], tail="2026|repro|T")
+        assert fsck_main([str(tmp_path)]) == 1
+        assert fsck_main(["--repair", str(tmp_path)]) == 0
+        assert self.csv_values(tmp_path, capsys) == ["1.0"]
+
+
 class TestFilters:
     def frame(self):
         return DataFrame(

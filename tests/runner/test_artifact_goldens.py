@@ -23,13 +23,13 @@ PINNED_TS = "2026-01-01T00:00:00"
 
 GOLDEN = {
     "cold_trace":
-        "0a6d1d4458704fa39c63240e62f10b57dddda934e96f077146bc4deb65c02dcb",
+        "3e46ff610aef35ce6585b5837c87f97c7d1adf4258bb372764338ea06402a4b2",
     "cold_journal":
         "3410d3d4b0b360578c68336bf24cb228d28f6810d486473712c283690eba1cc4",
     "cold_perflogs":
         "a29ae2b3621628b670196a9d7132a7662ffdd5ea8b3e64b5d4e13dc482089880",
     "warm_trace":
-        "1be128e2a20927836b056df5637eddd310503c672ec8c0025b7b77aec140717f",
+        "86d7b068a3d5ecf22d5e5bc05eb05e0b1e52be7de6da7c6021398ef9075ea609",
 }
 
 

@@ -7,7 +7,10 @@ Key stability across process restarts and dict orderings is
 hypothesis-tested; torn and deleted entries are tolerated, never fatal.
 """
 
+import ast
 import gc
+import importlib
+import importlib.util
 import inspect
 import json
 import os
@@ -31,11 +34,12 @@ from repro.runner.resilience import (
     _SOURCE_HASH_CACHE,
     CampaignJournal,
     RetryPolicy,
+    _class_source,
     benchmark_source_hash,
     case_fingerprint,
     content_address,
 )
-from repro.runner.results import CaseResultStore
+from repro.runner.results import CaseResultStore, _pack_line
 from repro.runner.watchdog import WatchdogSpec
 
 PINNED_TS = "2026-01-01T00:00:00"
@@ -281,19 +285,197 @@ def test_source_hash_cache_lets_classes_die():
     assert all(klass.__name__ != "Ephemeral" for klass in _SOURCE_HASH_CACHE)
 
 
-def test_base_class_source_read_once(monkeypatch):
-    """A shared base is parsed once, not once per leaf class hashed; the
-    leaves' data attributes are still read on every hash."""
-    reads = []
-    real = inspect.getsource
+def _import_file(path, name, monkeypatch):
+    """Import the file at *path* as module *name* for one test."""
+    spec = importlib.util.spec_from_file_location(name, str(path))
+    module = importlib.util.module_from_spec(spec)
+    # the source finder resolves a class's file through sys.modules
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _load_module(path, name, text, monkeypatch):
+    """Write *text* to *path* and import it as module *name*."""
+    path.write_text(text, encoding="utf-8")
+    return _import_file(path, name, monkeypatch)
+
+
+def test_base_class_source_read_once(tmp_path, monkeypatch):
+    """N leaf classes cost one parse of each source file in their MROs,
+    not one per class; the leaves' data attributes still count."""
+    from repro.runner import resilience
+
+    leaves = 8
+    text = "from repro.runner.benchmark import RegressionTest\n\n\n"
+    text += "class Base(RegressionTest):\n    tag = 'base'\n"
+    text += "".join(f"\n\nclass Leaf{i}(Base):\n    n = {i}\n"
+                    for i in range(leaves))
+    module = _load_module(tmp_path / "leaves.py", "_leaves_fixture", text,
+                          monkeypatch)
+    monkeypatch.setattr(resilience, "_CLASS_STARTS", {})
+    monkeypatch.setattr(resilience, "_SOURCE_TEXT_CACHE",
+                        weakref.WeakKeyDictionary())
+    parsed = []
+    real_parse = ast.parse
     monkeypatch.setattr(
-        inspect, "getsource", lambda obj: (reads.append(obj), real(obj))[1]
+        ast, "parse",
+        lambda source, *a, **k: (parsed.append(source),
+                                 real_parse(source, *a, **k))[1],
     )
-    leaves = [type("Leaf", (Beta,), {"tag": i}) for i in range(3)]
-    digests = {benchmark_source_hash(leaf) for leaf in leaves}
-    assert len(digests) == 3
-    assert reads.count(RegressionTest) <= 1
-    assert reads.count(Beta) <= 1
+    classes = [getattr(module, f"Leaf{i}") for i in range(leaves)]
+    assert len({benchmark_source_hash(leaf) for leaf in classes}) == leaves
+    files = {inspect.getsourcefile(klass) for klass in classes[0].__mro__
+             if klass is not object}
+    assert len(parsed) == len(files) == len(set(parsed))
+    assert "class Leaf7(Base):\n    n = 7\n" in _class_source(classes[7])
+
+
+#: source-finder fixtures: every shape ``inspect`` finds by its own rules
+FINDER_FIXTURE = """\
+def deco(cls):
+    return cls
+
+
+def make():
+    class Inner:
+        x = 1
+    return Inner
+
+
+@deco
+@deco
+class Decorated:
+    y = 2
+
+
+class Twin:
+    first = True
+
+
+class Twin:  # noqa: F811 -- a second definition under one name
+    first = False
+
+
+class Outer:
+    class Nested:
+        pass
+
+    def method(self):
+        class InMethod:
+            pass
+        return InMethod
+
+
+async def coro():
+    class InCoro:
+        pass
+    return InCoro
+
+
+if True:
+    class InIf:
+        pass
+try:
+    class InTry:
+        pass
+except Exception:
+    pass
+match 1:
+    case 1:
+        class InMatch:
+            pass
+"""
+
+
+def _finder_fixture_classes(tmp_path, monkeypatch):
+    name = "_finder_fixture"
+    module = _load_module(tmp_path / "finder.py", name, FINDER_FIXTURE,
+                          monkeypatch)
+    renamed = module.make()
+    renamed.__qualname__ = "Renamed"
+    try:
+        module.coro().send(None)
+    except StopIteration as stop:
+        in_coro = stop.value
+    in_module = {"__name__": name}
+    exec("class Execd:\n    pass\nclass Twin:\n    pass\n", in_module)
+    elsewhere = {"__name__": "_no_such_module"}
+    exec("class Lost:\n    pass\n", elsewhere)
+    return [
+        module.make(), module.Decorated, module.Twin, module.Outer,
+        module.Outer.Nested, module.Outer().method(), in_coro,
+        module.InIf, module.InTry, module.InMatch, renamed,
+        in_module["Execd"], in_module["Twin"], elsewhere["Lost"],
+    ]
+
+
+def _repro_classes(monkeypatch):
+    """Every class defined in ``repro.*`` (nested ones included) and in
+    the benchmark's probe module."""
+    import pkgutil
+
+    import repro
+
+    modules = [importlib.import_module(info.name) for info in
+               pkgutil.walk_packages(repro.__path__, "repro.")]
+    probes = _import_file(
+        os.path.join(os.path.dirname(__file__), "..", "..", "perfbench",
+                     "probes.py"),
+        "_perfbench_probes", monkeypatch)
+    found = []
+    pending = [value for mod in modules + [probes]
+               for value in vars(mod).values()
+               if isinstance(value, type) and value.__module__ == mod.__name__]
+    pending += [probes.fleet_probe(2, 0), probes.inc_class(0, 0.0)]
+    while pending:
+        klass = pending.pop()
+        if klass not in found:
+            found.append(klass)
+            pending += [value for value in vars(klass).values()
+                        if isinstance(value, type)
+                        and value.__module__ == klass.__module__]
+    return found
+
+
+@pytest.mark.skipif(
+    not (3, 10) <= sys.version_info[:2] <= (3, 12),
+    reason="inspect finds classes by an AST walk on Python 3.10-3.12 only",
+)
+def test_source_finder_matches_inspect(tmp_path, monkeypatch):
+    """The one-walk finder returns ``inspect.getsource``'s text, or no
+    text where it raises, for every class it will meet."""
+    from repro.runner.resilience import _find_class_source
+
+    classes = _finder_fixture_classes(tmp_path, monkeypatch)
+    classes += _repro_classes(monkeypatch)
+    assert len(classes) > 200
+    found = []
+    for klass in classes:
+        try:
+            want = inspect.getsource(klass)
+        except (OSError, TypeError):
+            want = None
+        assert _find_class_source(klass) == want, klass
+        if want is not None:
+            found.append(klass.__qualname__)
+    assert len(found) > 200
+    assert "fleet_probe.<locals>.FleetProbe" in found
+
+
+def test_source_finder_rereads_a_rewritten_file(tmp_path, monkeypatch):
+    path = tmp_path / "edited.py"
+    first = _load_module(path, "_edited_fixture",
+                         "class Probe:\n    rev = 'r0'\n", monkeypatch)
+    assert _class_source(first.Probe) == "class Probe:\n    rev = 'r0'\n"
+    # the class moves down: a stale line index would cut the wrong text
+    second = _load_module(path, "_edited_fixture",
+                          "# edited\n\nclass Probe:\n    rev = 'r1-edited'\n",
+                          monkeypatch)
+    assert (_class_source(second.Probe)
+            == "class Probe:\n    rev = 'r1-edited'\n")
+    assert (benchmark_source_hash(first.Probe)
+            != benchmark_source_hash(second.Probe))
 
 
 # --------------------------------------------------------------------------
@@ -363,7 +545,7 @@ SUBPROCESS_KEY = """
 import sys
 sys.path.insert(0, {src!r})
 from repro.runner.executor import Executor, RunConfig
-from repro.runner.results import CaseResultStore
+from repro.runner.results import CaseResultStore, _pack_line
 sys.path.insert(0, {here!r})
 from tests.runner.test_resultstore import Beta
 store = CaseResultStore({store!r})
@@ -592,6 +774,30 @@ def test_two_copy_layout_is_served_from_its_pack(tmp_path):
     assert (report["checked"], report["invalid"]) == (6, 0)
 
 
+def test_fsck_repair_splices_intact_lines(tmp_path):
+    """Repair writes each intact line as put does: sealed lines verbatim,
+    an older-layout line re-sealed; torn and rotten lines drop."""
+    from repro.obs.jsonl import seal_line
+    from repro.runner.fsck import fsck_store
+
+    store_dir = str(tmp_path / "store")
+    run(tmp_path, "cold", store_dir)
+    put_lines = _pack_lines(store_dir)
+    legacy = _write_legacy_layout(store_dir)
+    lines = [legacy[0]] + put_lines[1:]
+    lines[1] = lines[1][: lines[1].index('"entry":') + 40]
+    lines[2] = lines[2].replace("--ntasks=1", "--ntasks=7", 1)
+    _write_pack_lines(store_dir, lines)
+    report = fsck_store(store_dir, repair=True)
+    assert [report[k] for k in ("checked", "invalid", "healed")] == [6, 2, 2]
+    repaired = _pack_lines(store_dir)
+    assert repaired == [put_lines[0]] + put_lines[3:]
+    for line in repaired:  # the bytes a decode and re-seal would write
+        doc = json.loads(line)
+        doc["entry"].pop("cs")
+        assert line + "\n" == _pack_line(doc["key"], seal_line(doc["entry"]))
+
+
 def test_store_directory_holds_only_the_pack(tmp_path):
     store_dir = str(tmp_path / "store")
     run(tmp_path, "cold", store_dir)
@@ -646,6 +852,148 @@ def test_missing_artifacts_force_reexecution(tmp_path):
     _, third = run(tmp_path, "third", store,
                    trace=str(tmp_path / "trace3.jsonl"))
     assert len(third.replayed) == 6  # rewritten entries carry the trace
+
+
+# --------------------------------------------------------------------------
+# the pack held as text: CRC-checked lines, one decode per hit
+# --------------------------------------------------------------------------
+
+#: one pack line as the previous store release wrote it, for the entry
+#: below: the sealed layout readers must keep serving byte for byte
+PARENT_PACK_LINE = (
+    '{"key":"' + "0" * 64 + '","entry":{"cs":"e164abe6","build_log": '
+    '["{brace", "quote \\" and \\\\ slash"], "case": "Probe %size=2 '
+    '@sys:part+gnu", "concretize_cache_hit": null, "fingerprint": '
+    '"0123456789abcdef", "job_script": "#!/bin/bash\\n", "key": "'
+    + "k" * 64 + '", "perflog": {"lines": ["a|b\\n"], "relpath": '
+    '"sys/part/Probe.log"}, "record": {"fingerprint": "0123456789abcdef", '
+    '"status": "passed"}, "run_command": "srun -n 1 ./probe", "run_id": '
+    '"run-1", "spec": null, "stdout": "say \\"hi\\" {x}\\n\\u00e9\\t\\\\", '
+    '"trace": {"count": 1, "end_time": 1.5, "first_id": 3, "lines": '
+    '["{\\"cs\\":\\"00000000\\",\\"id\\":3}"]}, "version": 1}}\n'
+)
+
+
+def _parent_entry():
+    return {
+        "version": 1, "key": "k" * 64, "fingerprint": "0123456789abcdef",
+        "case": "Probe %size=2 @sys:part+gnu",
+        "run_id": "run-1",
+        "record": {"fingerprint": "0123456789abcdef", "status": "passed"},
+        "stdout": 'say "hi" {x}\né\t\\',
+        "run_command": "srun -n 1 ./probe",
+        "job_script": "#!/bin/bash\n",
+        "build_log": ["{brace", 'quote " and \\ slash'],
+        "concretize_cache_hit": None,
+        "spec": None,
+        "perflog": {"relpath": "sys/part/Probe.log", "lines": ["a|b\n"]},
+        "trace": {"first_id": 3, "count": 1, "end_time": 1.5,
+                  "lines": ['{"cs":"00000000","id":3}']},
+    }
+
+
+def test_pack_written_by_the_previous_release_is_served(tmp_path):
+    root = str(tmp_path / "store")
+    os.makedirs(root)
+    with open(os.path.join(root, "pack.jsonl"), "w", encoding="utf-8") as fh:
+        fh.write(PARENT_PACK_LINE)
+    store = CaseResultStore(root)
+    assert len(store) == 1
+    assert store._index == {"0123456789abcdef": "0" * 64}
+    assert store.lookup("0" * 64, need_perflog=True,
+                        need_spans=True) == _parent_entry()
+    assert (store.stats.hits, store.stats.corrupted) == (1, 0)
+    # and put still writes those exact bytes
+    fresh = CaseResultStore(str(tmp_path / "fresh"))
+    fresh.put("0" * 64, _parent_entry())
+    with open(os.path.join(fresh.root, "pack.jsonl"), encoding="utf-8") as fh:
+        assert fh.read() == PARENT_PACK_LINE
+
+
+def test_warm_run_keeps_text_and_frees_replayed_entries(tmp_path):
+    from repro.obs.trace import ReplayedSpans
+
+    root = str(tmp_path / "store")
+    run(tmp_path, "cold", root, trace=str(tmp_path / "cold.jsonl"))
+    store = CaseResultStore(root)
+    _, warm = run(tmp_path, "warm", store,
+                  trace=str(tmp_path / "warm.jsonl"))
+    assert len(warm.replayed) == 6
+    assert store.stats.hits == 6 and store.stats.corrupted == 0
+    assert all(type(text) is str for text in store._pack.values())
+    for result in warm.replayed:
+        assert result._replay is None
+        assert not isinstance(result._trace, ReplayedSpans)
+        entry_like = [value for value in vars(result).values()
+                      if isinstance(value, dict) and "record" in value]
+        assert entry_like == []
+
+
+def test_load_keeps_the_hit_counts_of_mixed_packs(tmp_path):
+    """An older-layout line, a damaged line before a good one of the same
+    key and the reverse order: each key still hits, only a key with no
+    intact line counts corrupted, and misses still classify."""
+    root = str(tmp_path / "store")
+    keys = [str(i) * 64 for i in range(1, 7)]
+    writer = CaseResultStore(root)
+    for key, fingerprint in zip(keys[:4], "abcd"):
+        writer.put(key, {"version": 1, "key": key, "fingerprint": fingerprint,
+                         "stdout": "x"})
+    good = _pack_lines(root)
+    rotten = [line.replace('"stdout": "x"', '"stdout": "y"') for line in good]
+    older = json.loads(good[0])
+    older["entry"].pop("cs")
+    canonical = json.dumps(older["entry"], sort_keys=True).encode("utf-8")
+    older["entry"] = {"cs": f"{zlib.crc32(canonical) & 0xFFFFFFFF:08x}",
+                      **older["entry"]}
+    lines = [
+        json.dumps(older, separators=(",", ":")),  # key 1: older layout
+        rotten[1], good[1],                         # key 2: damaged first
+        good[2], rotten[2],                         # key 3: damaged last
+        rotten[3],                                  # key 4: damaged only
+    ]
+    _write_pack_lines(root, lines)
+    store = CaseResultStore(root)
+    assert len(store) == 3
+    for key in keys[:3]:
+        entry = store.lookup(key)
+        assert entry is not None and entry["stdout"] == "x"
+    assert store.lookup(keys[3], fingerprint="d") is None   # corrupted
+    assert store.lookup(keys[4], fingerprint="a") is None   # invalidated
+    assert store.lookup(keys[5], fingerprint="z") is None   # never seen
+    assert store.stats.as_dict() == {
+        "hits": 3, "misses": 3, "invalidated": 1, "corrupted": 1,
+        "puts": 0, "hit_rate": 0.5,
+    }
+    # the older-layout line is held re-sealed, as put would write it,
+    # and loading rewrote nothing on disk
+    assert _pack_line(keys[0], store._pack[keys[0]]) == good[0] + "\n"
+    assert _pack_lines(root) == lines
+
+
+_json_text = st.text(max_size=40)
+ABSENT = object()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    stdout=_json_text, case=_json_text,
+    build_log=st.lists(_json_text, max_size=4),
+    fingerprint=st.one_of(st.none(), _json_text, st.integers(),
+                          st.just(ABSENT)),
+)
+def test_fingerprint_extraction_agrees_with_a_decode(stdout, case, build_log,
+                                                     fingerprint):
+    from repro.obs.jsonl import seal_line
+    from repro.runner.results import _entry_fingerprint
+
+    entry = {"version": 1, "case": case, "stdout": stdout,
+             "build_log": build_log,
+             "record": {"fingerprint": "nested", "case": case}}
+    if fingerprint is not ABSENT:
+        entry["fingerprint"] = fingerprint
+    sealed = seal_line(entry)
+    assert _entry_fingerprint(sealed) == json.loads(sealed).get("fingerprint")
 
 
 # --------------------------------------------------------------------------
