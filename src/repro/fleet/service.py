@@ -234,6 +234,13 @@ class CampaignService:
             )
         except ValueError as exc:
             raise CampaignConfigError(str(exc)) from exc
+        # a flag that only tunes an unarmed feature would do nothing; the
+        # fleet supervisor fills in a journal path before it prepares
+        if config.journal_batch != 1 and not config.journal:
+            raise CampaignConfigError("--journal-batch requires --journal PATH")
+        if (config.straggler_factor != RunConfig.straggler_factor
+                and not config.speculation):
+            raise CampaignConfigError("--straggler-factor requires --speculate")
 
         executor = Executor(
             site=site,

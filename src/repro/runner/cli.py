@@ -158,9 +158,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "JSONL campaign journal at PATH")
     parser.add_argument("--journal-batch", type=int, default=1,
                         metavar="N",
-                        help="group-commit journal appends in batches of "
-                             "N cases (same bytes, ~N x fewer fsyncs, "
-                             "bounded tail-loss window; default: 1)")
+                        help="with --journal: group-commit journal "
+                             "appends in batches of N cases (same bytes, "
+                             "~N x fewer fsyncs, bounded tail-loss window; "
+                             "default: 1)")
     parser.add_argument("--resume", action="store_true",
                         help="with --journal: skip cases the journal "
                              "records as completed, re-run only "
@@ -215,8 +216,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "wins, only the winner is perflogged")
     parser.add_argument("--straggler-factor", type=float, default=2.0,
                         metavar="F",
-                        help="speculation threshold multiplier over the "
-                             "running median case duration (default: 2.0)")
+                        help="with --speculate: threshold multiplier "
+                             "over the running median case duration "
+                             "(default: 2.0)")
     parser.add_argument("--drain-after", type=int, default=None,
                         metavar="N",
                         help="node health: softly drain a node after N "

@@ -536,24 +536,95 @@ class Executor:
         same campaign.  Results come back in the deterministic serial
         order under either policy.
         """
-        config = replace(config or RunConfig(), **fields)
-        ordered = order_by_dependencies(cases)
-        effective_workers = config.workers if config.policy == "async" else 1
-        faults = config.faults
-        retry_policy = config.retry or RetryPolicy()
-        clock = faults.clock if faults is not None else FaultClock()
-        breaker = CircuitBreaker(config.max_failures)
-        quarantine = Quarantine(config.quarantine_threshold)
-        journal = as_journal(config.journal)
-        watchdog = as_watchdog(config.watchdog)
-        health = (
+        campaign = _Campaign(self, cases, replace(config or RunConfig(),
+                                                  **fields))
+        aborted: Optional[str] = None
+        try:
+            results: Sequence[CaseResult] = run_waves(
+                campaign.ordered,
+                campaign.run_case,
+                workers=campaign.workers,
+                on_result=campaign.commit,
+                speculation=campaign.speculation,
+                on_wave=(campaign.on_wave if campaign.tracer is not None
+                         else None),
+            )
+        except CampaignAborted as exc:
+            aborted = str(exc)
+            results = campaign.collected  # everything before the trip
+        finally:
+            aborted = campaign.close(aborted)
+        return campaign.report(results, aborted)
+
+    def run(
+        self,
+        test_classes: Sequence[Type[RegressionTest]],
+        system: str,
+        policy: str = "serial",
+        workers: int = 1,
+        **kwargs: Any,
+    ) -> RunReport:
+        return self.run_cases(
+            self.expand_cases(test_classes, system, **kwargs),
+            policy=policy,
+            workers=workers,
+        )
+
+
+def _case_span_attrs(result: CaseResult) -> Dict[str, Any]:
+    """Campaign-track span attrs for one finished case.
+
+    Shared between the trace record and the live sink, so the live plane
+    and a later ``--replay`` of the trace attribute cases identically.
+    """
+    attrs: Dict[str, Any] = dict(
+        status=(
+            "passed" if result.passed else
+            ("skipped" if result.skipped else "failed")
+        ),
+        attempts=result.attempts,
+        resumed=result.resumed,
+        speculated=result.speculated,
+    )
+    if result.replayed:
+        # cache annotation -- the ONLY campaign-track difference between
+        # a warm and a cold trace (strip_replay_attrs removes it)
+        attrs["replayed"] = True
+    return attrs
+
+
+class _Campaign:
+    """One :meth:`Executor.run_cases` call: its run state and writers.
+
+    :meth:`run_case` is the worker side (resume replay, quarantine,
+    result-store hit, or the pipeline); :meth:`commit` is the consumer
+    side that :func:`~repro.runner.parallel.run_waves` streams every
+    result into, in the deterministic serial order; :meth:`close` and
+    :meth:`report` are the epilogue.
+    """
+
+    def __init__(self, executor: Executor, cases: Sequence[TestCase],
+                 config: RunConfig):
+        self.executor = executor
+        self.config = config
+        self.perflog = perflog = executor.perflog
+        self.ordered = order_by_dependencies(cases)
+        self.workers = config.workers if config.policy == "async" else 1
+        self.faults = faults = config.faults
+        self.retry = config.retry or RetryPolicy()
+        self.clock = faults.clock if faults is not None else FaultClock()
+        self.breaker = CircuitBreaker(config.max_failures)
+        self.quarantine = Quarantine(config.quarantine_threshold)
+        self.journal = journal = as_journal(config.journal)
+        self.watchdog = as_watchdog(config.watchdog)
+        self.health = health = (
             HealthTracker(drain_after=config.drain_after)
             if config.drain_after is not None else None
         )
-        speculation = config._speculation()
-        store = as_result_store(config.result_store)
-        store_keys: Dict[int, str] = {}
-        run_id = ""
+        self.speculation = config._speculation()
+        self.store = store = as_result_store(config.result_store)
+        self.store_keys: Dict[int, str] = {}
+        self.run_id = ""
         if store is not None:
             config_key = config.fingerprint()
             # composite keys are computed up front (cheap: sha256 over
@@ -561,526 +632,461 @@ class Executor:
             # campaign's run id -- the ``cached_from`` provenance marker
             # -- is itself deterministic content: the hash of every
             # case's content address, independent of policy and order
-            for case in ordered:
-                store_keys[id(case)] = store.key_for(case, config_key)
-            run_id = hashlib.sha256(
-                "\x1f".join(sorted(store_keys.values())).encode("utf-8")
+            for case in self.ordered:
+                self.store_keys[id(case)] = store.key_for(case, config_key)
+            self.run_id = hashlib.sha256(
+                "\x1f".join(sorted(self.store_keys.values())).encode("utf-8")
             ).hexdigest()[:12]
-        tracer = as_tracer(config.trace)
+        self.tracer = tracer = as_tracer(config.trace)
+        self.registry: Optional[MetricsRegistry] = None
         if isinstance(config.metrics, MetricsRegistry):
-            registry: Optional[MetricsRegistry] = config.metrics
+            self.registry = config.metrics
         elif config.metrics or tracer is not None:
-            registry = MetricsRegistry()
-        else:
-            registry = None
+            self.registry = MetricsRegistry()
         # the campaign track lays accepted cases end-to-end in the
         # deterministic consumption order; flushed once, at the end
-        campaign_rec = (
+        self.campaign_rec = (
             tracer.recorder("campaign") if tracer is not None else None
         )
-        campaign_cursor = [0.0]
-        live_sink = as_live_sink(config.live)
-        if live_sink is not None:
+        self.cursor = 0.0
+        self.live = as_live_sink(config.live)
+        if self.live is not None:
             # the live plane listens on the writer hooks (add_sink is
             # idempotent: fleet slices reuse one executor + sink pair)
             if tracer is not None:
-                tracer.add_sink(live_sink)
-            if self.perflog is not None:
-                self.perflog.add_sink(live_sink)
-        completed: Dict[str, Dict[str, Any]] = {}
+                tracer.add_sink(self.live)
+            if perflog is not None:
+                perflog.add_sink(self.live)
+        self.completed: Dict[str, Dict[str, Any]] = {}
         if journal is not None and config.resume:
-            completed = journal.load()
-            quarantine.seed(journal.failure_counts())
+            self.completed = journal.load()
+            self.quarantine.seed(journal.failure_counts())
             if health is not None:
                 snapshot = journal.health_snapshot()
                 if snapshot is not None:
                     health.restore(snapshot)
-        if self.perflog is not None and faults is not None:
-            self.perflog.faults = faults
-        durpolicy = DurabilityPolicy(config.durability)
-        iofault_shim = None
+        if perflog is not None and faults is not None:
+            perflog.faults = faults
+        self.durpolicy = DurabilityPolicy(config.durability)
         if faults is not None and faults.has_io_faults:
             from repro.iofaults import FaultyIO
 
-            iofault_shim = FaultyIO(faults)
-            if journal is not None:
-                journal.attach_io(iofault_shim, "journal")
-            if self.perflog is not None:
-                self.perflog.attach_io(iofault_shim)
-            if tracer is not None:
-                tracer.attach_io(iofault_shim, "trace")
-            if store is not None:
-                store.attach_io(iofault_shim)
+            shim = FaultyIO(faults)
+            for writer, args in ((journal, ("journal",)), (perflog, ()),
+                                 (tracer, ("trace",)), (store, ())):
+                if writer is not None:
+                    writer.attach_io(shim, *args)
         #: perflog flush attempts before giving up: storage faults are
         #: drawn per operation, so degrade mode retries hard enough that
         #: a heavy storm still converges (0.34^16 ~ 3e-8), while strict
         #: keeps the historical 3 tries and then fail-stops
-        flush_tries = 3 if durpolicy.strict else 16
+        self.flush_tries = 3 if self.durpolicy.strict else 16
+        self.collected: List[CaseResult] = []
+        #: journal group-commit buffer: records are formatted per case in
+        #: consumption order, appended every ``journal_batch`` cases
+        self.jbuffer: List[Dict[str, Any]] = []
 
-        def precheck(case: TestCase) -> Optional[CaseResult]:
-            """Resume replay / quarantine / result-store short-circuit."""
-            fingerprint = case_fingerprint(case)
-            record = completed.get(fingerprint)
-            if record is not None and record.get("status") in COMPLETED_STATUSES:
-                # crash-safe resume: replay, don't re-run
-                result = result_from_record(case, record)
+    # -- worker side -------------------------------------------------------
+    def run_case(self, case: TestCase) -> CaseResult:
+        """Resume replay, quarantine, store hit -- or run the pipeline."""
+        fingerprint = case_fingerprint(case)
+        record = self.completed.get(fingerprint)
+        if record is not None and record.get("status") in COMPLETED_STATUSES:
+            # crash-safe resume: replay, don't re-run
+            return self._marked(result_from_record(case, record), "resumed")
+        if self.quarantine.is_quarantined(fingerprint):
+            result = CaseResult(case=case)
+            result.failing_stage = "setup"
+            result.failure_reason = (
+                f"quarantined: {self.quarantine.failures(fingerprint)} "
+                f"recorded failure(s) >= threshold "
+                f"{self.quarantine.threshold}"
+            )
+            result.quarantined = True
+            return self._marked(result, "quarantined")
+        tracer = self.tracer
+        store = self.store
+        if store is not None:
+            entry = store.lookup(
+                self.store_keys[id(case)],
+                fingerprint=fingerprint,
+                need_perflog=self.perflog is not None,
+                need_spans=tracer is not None,
+            )
+            if entry is not None:
+                result = replay_result(case, entry)
                 if tracer is not None:
-                    recorder = tracer.recorder(case.display_name)
-                    recorder.event("resumed", 0.0, "case")
-                    result._trace = recorder
+                    # the stored encoded lines flush through the tracer
+                    # like a fresh case's spans -- same bytes, same
+                    # global-id sequence as the cold run -- blitted
+                    # verbatim (or id-shifted by a constant after an
+                    # upstream edit)
+                    result._trace = ReplayedSpans(
+                        case.display_name, entry.get("trace") or {}
+                    )
                 return result
-            if quarantine.is_quarantined(fingerprint):
-                result = CaseResult(case=case)
-                result.failing_stage = "setup"
-                result.failure_reason = (
-                    f"quarantined: {quarantine.failures(fingerprint)} "
-                    f"recorded failure(s) >= threshold "
-                    f"{quarantine.threshold}"
-                )
-                result.quarantined = True
-                if tracer is not None:
-                    recorder = tracer.recorder(case.display_name)
-                    recorder.event("quarantined", 0.0, "case")
-                    result._trace = recorder
-                return result
-            if store is not None:
-                entry = store.lookup(
-                    store_keys[id(case)],
-                    fingerprint=fingerprint,
-                    need_perflog=self.perflog is not None,
-                    need_spans=tracer is not None,
-                )
-                if entry is not None:
-                    result = replay_result(case, entry)
-                    if tracer is not None:
-                        # the stored encoded lines flush through the
-                        # tracer like a fresh case's spans -- same
-                        # bytes, same global-id sequence as the cold
-                        # run -- blitted verbatim (or id-shifted by a
-                        # constant after an upstream edit)
-                        result._trace = ReplayedSpans(
-                            case.display_name, entry.get("trace") or {}
-                        )
-                    return result
-            return None
-
-        def case_runner(case: TestCase) -> CaseResult:
-            pre = precheck(case)
-            if pre is not None:
-                return pre
+        return run_case(
+            case,
+            installer=self.executor.installer,
+            concretizer_cache=self.executor.concretizer_cache,
+            retry=self.retry,
+            faults=self.faults,
+            clock=self.clock,
+            watchdog=self.watchdog,
+            health=self.health,
             # a fresh recorder per invocation: a speculative duplicate
             # gets its own, and only the accepted attempt's is flushed
-            recorder = (
-                tracer.recorder(case.display_name)
-                if tracer is not None else None
-            )
-            return run_case(
-                case,
-                installer=self.installer,
-                concretizer_cache=self.concretizer_cache,
-                retry=retry_policy,
-                faults=faults,
-                clock=clock,
-                watchdog=watchdog,
-                health=health,
-                trace=recorder,
-            )
+            trace=(tracer.recorder(case.display_name)
+                   if tracer is not None else None),
+        )
 
-        collected: List[CaseResult] = []
-        # journal group-commit buffer: records are formatted per case in
-        # consumption order, appended every journal_batch cases
-        jbuffer: List[Dict[str, Any]] = []
+    def _marked(self, result: CaseResult, event: str) -> CaseResult:
+        """A short-circuited result, traced as one *event* on its track."""
+        if self.tracer is not None:
+            recorder = self.tracer.recorder(result.case.display_name)
+            recorder.event(event, 0.0, "case")
+            result._trace = recorder
+        return result
 
-        def flush_perflog_retrying() -> None:
-            """Flush buffered rows, retrying failed files.
+    # -- consumer side: the per-case commit sequence (DESIGN.md 6.3) -------
+    def commit(self, result: CaseResult) -> None:
+        """Write one finished case's artifacts, in the crash-safe order.
 
-            The batched writer keeps exactly the unwritten files
-            buffered, so each retry re-attempts just the remainder
-            (storage faults draw fresh per operation).  Exhaustion is a
-            :class:`DurabilityError`: perflogs are the primary data --
-            there is nothing to degrade *to* -- so both policies
-            fail-stop, degrade just tries much harder first.
-            """
-            if self.perflog is None:
-                return
-            last: Optional[Exception] = None
-            for _ in range(flush_tries):
-                try:
-                    self.perflog.flush()
-                    return
-                except CampaignAborted:
-                    raise
-                except Exception as exc:
-                    last = exc
-            raise DurabilityError("perflog", self.perflog.prefix, last)
+        Fires per case in the deterministic serial order, as soon as the
+        result is available, so the journal is crash-consistent at every
+        case boundary and the breaker trips at the same case under every
+        policy.  Each numbered step is one call; DESIGN.md section 6.3
+        gives the invariant each keeps.
+        """
+        self.collected.append(result)
+        failed = not result.passed and not result.skipped
+        fingerprint = case_fingerprint(result.case)
+        failures: Optional[int] = None
+        if failed and not result.resumed:
+            failures = self.quarantine.record_failure(fingerprint)  # 1.
+        if not result.resumed:
+            self._persist(result, fingerprint, failures)  # 2.
+        if self.registry is not None and not result.skipped:
+            self._observe(result)  # 3.
+        if self.tracer is not None:
+            self._track(result)  # 4.
+        elif self.live is not None:
+            self._track_untraced(result)  # 4., untraced
+        if (self.store is not None and not result.resumed
+                and not result.replayed and not result.quarantined):
+            self._store(result)  # 5.
+        if result.replayed:
+            self._free_replay(result)  # 6.
+        if failed:
+            self._feed_breaker()  # 7.
 
-        def journal_append(fn: Callable, *args: Any) -> Any:
-            """A journal write; storage failure always fail-stops.
+    def _persist(self, result: CaseResult, fingerprint: str,
+                 failures: Optional[int]) -> None:
+        """Step 2: buffer the case's perflog rows, then its journal record.
 
-            A campaign whose journal cannot be written must not keep
-            running: resume state would silently diverge from reality.
-            """
-            try:
-                return fn(*args)
-            except OSError as exc:
-                raise DurabilityError("journal", journal.path, exc) from exc
-
-        def flush_journal() -> None:
-            if not jbuffer:
-                return
-            # the perflog-before-journal invariant (see persist): every
-            # record about to be appended has its rows durably flushed;
-            # past the retry budget, fail loudly rather than journal a lie
-            flush_perflog_retrying()
-            journal_append(journal.record_many, jbuffer)
-            jbuffer.clear()
-
-        def emit_rows(result: CaseResult) -> None:
-            """Buffer one result's perflog rows (fresh or replayed)."""
-            if self.perflog is None:
-                return
+        A journal batch is appended only after a perflog flush covering
+        its cases' rows, so a journal entry always implies on-disk rows
+        and ``--resume`` never loses (or duplicates) them.
+        """
+        perflog = self.perflog
+        if perflog is not None:
             try:
                 if result.replayed:
                     stored = (result._replay or {}).get("perflog")
                     if stored:
                         # the cold run's verbatim bytes, not a re-format
-                        self.perflog.emit_replay(
-                            stored["relpath"], stored["lines"]
-                        )
+                        perflog.emit_replay(stored["relpath"],
+                                            stored["lines"])
                 else:
-                    self.perflog.emit(result)  # may auto-flush early: safe
+                    perflog.emit(result)  # may auto-flush early: safe
             except Exception:
                 pass  # rows stay buffered; the next flush retries
+        journal = self.journal
+        if journal is None:
+            return
+        if result.replayed:
+            # meta record: --resume must not double-count replays
+            self.jbuffer.append(journal.make_replay_record(
+                result, (result._replay or {}).get("key", ""),
+                cached_from=result.cached_from, fingerprint=fingerprint,
+            ))
+        else:
+            self.jbuffer.append(journal.make_record(
+                result, fingerprint=fingerprint, failures=failures))
+        if len(self.jbuffer) >= self.config.journal_batch:
+            self._flush_journal()
+        if self.health is not None and self.health.dirty:
+            # snapshot *after* the case record: a resumed campaign
+            # restores at least the health state this case produced
+            self._flush_journal()
+            self._journal_write(journal.record_health,
+                                self.health.snapshot())
 
-        def journal_record(result: CaseResult, fingerprint: str,
-                           failures: Optional[int]) -> Dict[str, Any]:
-            if result.replayed:
-                # meta record: --resume must not double-count replays
-                return journal.make_replay_record(
-                    result,
-                    (result._replay or {}).get("key", ""),
-                    cached_from=result.cached_from,
-                    fingerprint=fingerprint,
-                )
-            return journal.make_record(result, fingerprint=fingerprint,
-                                       failures=failures)
-
-        def persist(result: CaseResult, fingerprint: str,
-                    failures: Optional[int]) -> None:
-            """Emit one result's perflog rows, then journal it.
-
-            Ordering is the crash-safety invariant: a journal batch is
-            appended only after its cases' perflog rows are durably
-            flushed, so a journal entry always implies on-disk perflog
-            data and ``--resume`` never loses (or duplicates) rows.
-            Perflog write errors are retried -- the batched writer
-            keeps unwritten files buffered -- and only a persistently
-            failing flush aborts; without a journal, a failed write
-            simply stays buffered for the next (or final) flush.
-            """
-            emit_rows(result)
-            if journal is None:
-                return
-            jbuffer.append(journal_record(result, fingerprint, failures))
-            if len(jbuffer) >= config.journal_batch:
-                flush_journal()
-            if health is not None and health.dirty:
-                # snapshot *after* the case record: a resumed campaign
-                # restores at least the health state this case produced
-                flush_journal()
-                journal_append(journal.record_health, health.snapshot())
-
-        def drop_store() -> None:
-            # degrade-mode demotion: every later case simply misses the
-            # cache (and skips its put), which only costs time
-            nonlocal store
-            store = None
-
-        def store_entry(result: CaseResult) -> None:
-            """Persist one freshly executed result into the store.
-
-            Called *after* the case's spans flush, so the tracer's
-            ``last_flush_bundle`` holds this case's final encoded trace
-            lines and first global id -- exactly what the warm-path
-            blit replays.
-            """
-            perflog_doc = None
-            if self.perflog is not None and self.perflog.last_emit:
-                path, lines = self.perflog.last_emit
-                perflog_doc = {
-                    "relpath": self.perflog.relpath_for(path),
-                    "lines": lines,
-                }
-            trace_doc = None
-            if tracer is not None:
-                recorder = getattr(result, "_trace", None)
-                bundle = tracer.last_flush_bundle
-                if recorder is not None and bundle is not None:
-                    trace_doc = dict(bundle)
-                    trace_doc["end_time"] = recorder.end_time
-            key = store_keys[id(result.case)]
-            try:
-                store.put(
-                    key,
-                    make_entry(
-                        result,
-                        key,
-                        run_id,
-                        # the same shape a journal case record carries, so
-                        # replay_result reuses result_from_record verbatim
-                        make_case_record(
-                            result, fingerprint=case_fingerprint(result.case)
-                        ),
-                        perflog=perflog_doc,
-                        trace=trace_doc,
-                    ),
-                )
-            except CampaignAborted:
-                raise
-            except Exception as exc:
-                # the store is an accelerator, not the record of truth:
-                # under --durability degrade the campaign drops to
-                # uncached execution instead of dying (strict raises)
-                durpolicy.absorb("store", str(store.root), exc)
-                drop_store()
-
-        def case_span_attrs(result: CaseResult) -> Dict[str, Any]:
-            """Campaign-track span attrs for one finished case.
-
-            Shared between the trace record and the live sink, so the
-            live plane and a later ``--replay`` of the trace attribute
-            cases identically.
-            """
-            attrs: Dict[str, Any] = dict(
-                status=(
-                    "passed" if result.passed else
-                    ("skipped" if result.skipped else "failed")
-                ),
-                attempts=result.attempts,
-                resumed=result.resumed,
-                speculated=result.speculated,
-            )
-            if result.replayed:
-                # cache annotation -- the ONLY campaign-track
-                # difference between a warm and a cold trace
-                # (strip_replay_attrs removes it for comparison)
-                attrs["replayed"] = True
-            return attrs
-
-        def on_result(result: CaseResult) -> None:
-            # fires per case, in deterministic serial order, as soon as
-            # the result is available (run_waves streams it) -- so the
-            # journal is crash-consistent at every case boundary and the
-            # breaker trips at the same case under every policy
-            collected.append(result)
-            failed = not result.passed and not result.skipped
-            fingerprint = case_fingerprint(result.case)
-            failures: Optional[int] = None
-            if failed and not result.resumed:
-                failures = quarantine.record_failure(fingerprint)
-            if not result.resumed:
-                persist(result, fingerprint, failures)
-            if registry is not None and not result.skipped:
-                self._observe_result(registry, result)
-            if tracer is not None:
-                # flush the case's spans (in this deterministic order --
-                # which is what makes the file byte-identical across
-                # policies) and extend the campaign track
-                recorder = getattr(result, "_trace", None)
-                extent = (
-                    recorder.end_time if recorder is not None else 0.0
-                )
-                t0 = campaign_cursor[0]
-                if campaign_rec is not None:
-                    span_attrs = case_span_attrs(result)
-                    campaign_rec.record(
-                        result.case.display_name, t0, t0 + extent,
-                        "case", **span_attrs,
-                    )
-                    if live_sink is not None:
-                        # the exact campaign-track record: live state
-                        # reconciles byte-for-byte with a later replay
-                        # of the trace (sched spans arrive separately
-                        # through the note_flush hook)
-                        live_sink.observe_case(
-                            result.case.display_name, t0, t0 + extent,
-                            span_attrs,
-                        )
-                campaign_cursor[0] = t0 + extent
-                if recorder is not None:
-                    try:
-                        tracer.flush(recorder)
-                    except CampaignAborted:
-                        raise
-                    except Exception as exc:
-                        # degrade: finish untraced rather than die -- the
-                        # half-written trace file is left for repro-fsck
-                        durpolicy.absorb("trace", tracer.path, exc)
-                        tracer.disable_disk()
-                if (campaign_rec is not None and self.perflog is not None
-                        and not result.resumed):
-                    campaign_rec.event(
-                        "perflog-flush", campaign_cursor[0], "io",
-                        case=result.case.display_name,
-                    )
-            elif live_sink is not None:
-                # untraced campaigns still feed the live plane: the
-                # case extent is rebuilt from the simulated durations
-                # (what the campaign track would have recorded), and
-                # queue/job seconds go straight to the histograms since
-                # no sched spans will arrive through note_flush
-                extent = 0.0 if result.skipped else (
-                    result.build_seconds + result.queue_seconds
-                    + result.job_seconds + sum(result.backoff_schedule)
-                )
-                t0 = campaign_cursor[0]
-                campaign_cursor[0] = t0 + extent
-                live_sink.observe_case(
-                    result.case.display_name, t0, t0 + extent,
-                    case_span_attrs(result),
-                    durations=(
-                        None if result.skipped else {
-                            "queue": result.queue_seconds,
-                            "job": result.job_seconds,
-                        }
-                    ),
-                )
-            if (store is not None and not result.resumed
-                    and not result.replayed and not result.quarantined):
-                # quarantine short-circuits are ledger state, not
-                # executed outcomes -- never store them.  Runs after the
-                # trace flush so store_entry can capture the encoded
-                # span lines the tracer just wrote for this case.
-                store_entry(result)
-            if result.replayed:
-                # committed: rows emitted, journal record made, spans
-                # flushed.  Drop the decoded entry and its span bundle,
-                # so a finished replay leaves no tree for the GC to walk
-                result._replay = None
-                result._trace = None
-            if failed:
-                breaker.record_failure()
-                if breaker.tripped:
-                    raise CampaignAborted(breaker.describe())
-
-        def on_wave(index: int, size: int) -> None:
-            if campaign_rec is not None:
-                campaign_rec.event("wave", campaign_cursor[0], "wave",
-                                   index=index, cases=size)
-
-        aborted: Optional[str] = None
-        try:
-            results: Sequence[CaseResult] = run_waves(
-                ordered,
-                case_runner,
-                workers=effective_workers,
-                on_result=on_result,
-                speculation=speculation,
-                on_wave=on_wave if tracer is not None else None,
-            )
-        except CampaignAborted as exc:
-            aborted = str(exc)
-            results = collected  # everything finished before the trip
-        finally:
-            try:
-                if journal is not None:
-                    flush_journal()  # group-commit the batched tail first
-                flush_perflog_retrying()
-                # journal any health mutations the final cases produced
-                if (journal is not None and health is not None
-                        and health.dirty):
-                    journal_append(journal.record_health, health.snapshot())
-            except CampaignAborted as exc:
-                # the epilogue still runs: report what DID finish, with
-                # the durability failure as the abort diagnostic
-                if aborted is None:
-                    aborted = str(exc)
-            if store is not None:
-                try:
-                    store.flush()  # compact when superseded lines dominate
-                except CampaignAborted:
-                    raise
-                except Exception as exc:
-                    try:
-                        durpolicy.absorb("store", str(store.root), exc)
-                    except CampaignAborted as exc2:
-                        if aborted is None:
-                            aborted = str(exc2)
-        report = RunReport(
-            results=list(results),
-            aborted=aborted,
-            drained_nodes=health.drained if health is not None else [],
-            watchdog=watchdog.as_dict() if watchdog is not None else None,
-            health=health.as_dict() if health is not None else None,
-            trace_path=tracer.path if tracer is not None else None,
-        )
-        if store is not None:
-            report.result_cache = store.stats.as_dict()
-        if durpolicy.total_degraded:
-            report.degraded = durpolicy.snapshot()
-        if registry is not None:
-            # campaign counters are derived from the final report, so the
-            # snapshot's totals equal the journal-derived counts by
-            # construction (the trace smoke test locks this in)
-            self._populate_metrics(registry, report, store=store)
-            report.metrics = registry.snapshot()
-        if tracer is not None:
-            try:
-                if campaign_rec is not None:
-                    tracer.flush(campaign_rec)
-                if report.metrics is not None:
-                    tracer.write_metrics(report.metrics)
-            except CampaignAborted:
-                raise
-            except Exception as exc:
-                durpolicy.absorb("trace", tracer.path, exc)
-                tracer.disable_disk()
-                report.degraded = durpolicy.snapshot()
-        if live_sink is not None:
-            # fold the end-of-run counters (store hit rates, degraded
-            # streams) and emit the final status record; per fleet
-            # slice these fold additively, like merge_snapshot
-            live_sink.finalize(report.metrics, now=campaign_cursor[0])
-            report.live_status_path = live_sink.status_path
-        if journal is not None and report.success:
-            # a finished campaign's journal only needs its latest state
-            journal.compact()
-        return report
-
-    @staticmethod
-    def _observe_result(registry: MetricsRegistry, result: CaseResult) -> None:
-        """Feed one finished case's durations into the histograms.
-
-        Called per result in the deterministic consumption order, so the
-        histogram contents -- and thus the snapshot -- are identical
-        across execution policies.  Skipped cases are filtered by the
-        caller (a skip has no meaningful duration).
-        """
+    def _observe(self, result: CaseResult) -> None:
+        """Step 3: histograms, fed in the deterministic result order
+        (so the snapshot is identical across execution policies)."""
+        registry = self.registry
         registry.histogram("build.seconds").observe(result.build_seconds)
         registry.histogram("sched.queue_seconds").observe(
             result.queue_seconds
         )
         registry.histogram("sched.job_seconds").observe(result.job_seconds)
-        case_seconds = (
-            result.build_seconds
-            + result.queue_seconds
-            + result.job_seconds
-            + sum(result.backoff_schedule)
+        registry.histogram("case.seconds").observe(
+            result.build_seconds + result.queue_seconds
+            + result.job_seconds + sum(result.backoff_schedule)
         )
-        registry.histogram("case.seconds").observe(case_seconds)
 
-    def _populate_metrics(
-        self,
-        registry: MetricsRegistry,
-        report: RunReport,
-        store: Optional[CaseResultStore] = None,
-    ) -> None:
-        """Fold the campaign's outcome counters into *registry*.
+    def _track(self, result: CaseResult) -> None:
+        """Step 4: extend the campaign track, feed the live sink and
+        flush the case's spans -- in result order, which is what makes
+        the trace byte-identical across policies."""
+        recorder = getattr(result, "_trace", None)
+        name = result.case.display_name
+        t0 = self.cursor
+        self.cursor = t1 = t0 + (
+            recorder.end_time if recorder is not None else 0.0)
+        attrs = _case_span_attrs(result)
+        self.campaign_rec.record(name, t0, t1, "case", **attrs)
+        if self.live is not None:
+            # the exact campaign-track record: live state reconciles
+            # byte-for-byte with a later replay of the trace (sched
+            # spans arrive separately through the note_flush hook)
+            self.live.observe_case(name, t0, t1, attrs)
+        tracer = self.tracer
+        if recorder is not None and not self._absorbed(
+                "trace", tracer.path, tracer.flush, recorder):
+            # degrade: finish untraced rather than die -- the half-written
+            # trace file is left for repro-fsck
+            tracer.disable_disk()
+        if self.perflog is not None and not result.resumed:
+            self.campaign_rec.event("perflog-flush", t1, "io", case=name)
+
+    def _track_untraced(self, result: CaseResult) -> None:
+        """Step 4 untraced: feed the live plane alone.
+
+        The case extent is rebuilt from the simulated durations, and it
+        is NOT what a traced run's campaign track records: the trace's
+        ``queue-wait`` span also holds the scheduler's dispatch latency,
+        which ``queue_seconds`` leaves out, and a resumed case spans 0 s
+        on the track but its full duration here.  Queue/job seconds go
+        straight to the histograms: no sched spans arrive via note_flush.
+        """
+        extent = 0.0 if result.skipped else (
+            result.build_seconds + result.queue_seconds
+            + result.job_seconds + sum(result.backoff_schedule)
+        )
+        t0 = self.cursor
+        self.cursor = t0 + extent
+        self.live.observe_case(
+            result.case.display_name, t0, t0 + extent,
+            _case_span_attrs(result),
+            durations=None if result.skipped else {
+                "queue": result.queue_seconds, "job": result.job_seconds,
+            },
+        )
+
+    def _store(self, result: CaseResult) -> None:
+        """Step 5: put one freshly executed result into the store.
+
+        Quarantine short-circuits are ledger state, not executed
+        outcomes, and are never stored.  Runs after the case's spans
+        flush, so the tracer's ``last_flush_bundle`` holds this case's
+        encoded lines and first global id -- what the warm blit replays.
+        """
+        perflog_doc = None
+        if self.perflog is not None and self.perflog.last_emit:
+            path, lines = self.perflog.last_emit
+            perflog_doc = {"relpath": self.perflog.relpath_for(path),
+                           "lines": lines}
+        trace_doc = None
+        recorder = getattr(result, "_trace", None)
+        bundle = (self.tracer.last_flush_bundle
+                  if self.tracer is not None else None)
+        if recorder is not None and bundle is not None:
+            trace_doc = dict(bundle)
+            trace_doc["end_time"] = recorder.end_time
+        key = self.store_keys[id(result.case)]
+        # the record is the shape a journal case record carries, so
+        # replay_result reuses result_from_record verbatim
+        record = make_case_record(
+            result, fingerprint=case_fingerprint(result.case))
+        entry = make_entry(result, key, self.run_id, record,
+                           perflog=perflog_doc, trace=trace_doc)
+        if not self._absorbed("store", str(self.store.root),
+                              self.store.put, key, entry):
+            # the store is an accelerator, not the record of truth: in
+            # degrade mode every later case simply misses (and skips its
+            # put), which only costs time
+            self.store = None
+
+    @staticmethod
+    def _free_replay(result: CaseResult) -> None:
+        """Step 6: drop a committed replay's decoded entry and spans.
+
+        Its rows are emitted, its journal record made and its spans
+        flushed, so a finished replay leaves no tree for the GC to walk.
+        """
+        result._replay = None
+        result._trace = None
+
+    def _feed_breaker(self) -> None:
+        """Step 7, last: a trip aborts after this case's steps 1-6."""
+        self.breaker.record_failure()
+        if self.breaker.tripped:
+            raise CampaignAborted(self.breaker.describe())
+
+    def on_wave(self, index: int, size: int) -> None:
+        self.campaign_rec.event("wave", self.cursor, "wave",
+                                index=index, cases=size)
+
+    # -- the writers -------------------------------------------------------
+    def _absorbed(self, artifact: str, path: str,
+                  write: Callable[..., Any], *args: Any) -> bool:
+        """Write an optional artifact; False if degrade absorbed a failure.
+
+        Strict mode turns the failure into a :class:`DurabilityError`;
+        degrade counts it and leaves the caller to drop the artifact.
+        """
+        try:
+            write(*args)
+            return True
+        except CampaignAborted:
+            raise
+        except Exception as exc:
+            self.durpolicy.absorb(artifact, path, exc)
+            return False
+
+    def _flush_perflog(self) -> None:
+        """Flush buffered rows, retrying failed files.
+
+        The batched writer keeps exactly the unwritten files buffered,
+        so each retry re-attempts just the remainder (storage faults
+        draw fresh per operation).  Exhaustion is a
+        :class:`DurabilityError`: perflogs are the primary data --
+        there is nothing to degrade *to* -- so both policies fail-stop,
+        degrade just tries much harder first.
+        """
+        if self.perflog is None:
+            return
+        last: Optional[Exception] = None
+        for _ in range(self.flush_tries):
+            try:
+                self.perflog.flush()
+                return
+            except CampaignAborted:
+                raise
+            except Exception as exc:
+                last = exc
+        raise DurabilityError("perflog", self.perflog.prefix, last)
+
+    def _journal_write(self, fn: Callable[..., Any], *args: Any) -> Any:
+        """A journal write; storage failure always fail-stops.
+
+        A campaign whose journal cannot be written must not keep
+        running: resume state would silently diverge from reality.
+        """
+        try:
+            return fn(*args)
+        except OSError as exc:
+            raise DurabilityError("journal", self.journal.path, exc) from exc
+
+    def _flush_journal(self) -> None:
+        if not self.jbuffer:
+            return
+        # the perflog-before-journal invariant: every record about to be
+        # appended has its rows durably flushed; past the retry budget,
+        # fail loudly rather than journal a lie
+        self._flush_perflog()
+        self._journal_write(self.journal.record_many, self.jbuffer)
+        self.jbuffer.clear()
+
+    # -- epilogue ----------------------------------------------------------
+    def close(self, aborted: Optional[str]) -> Optional[str]:
+        """Commit the buffered tail; returns the abort message, if any.
+
+        Runs however the campaign ended, so a durability failure here
+        becomes the abort diagnostic and the report still says what
+        DID finish.
+        """
+        journal = self.journal
+        try:
+            if journal is not None:
+                self._flush_journal()  # group-commit the batched tail first
+            self._flush_perflog()
+            # journal any health mutations the final cases produced
+            if (journal is not None and self.health is not None
+                    and self.health.dirty):
+                self._journal_write(journal.record_health,
+                                    self.health.snapshot())
+        except CampaignAborted as exc:
+            if aborted is None:
+                aborted = str(exc)
+        if self.store is not None:
+            try:
+                self.store.flush()  # compact when superseded lines dominate
+            except CampaignAborted:
+                raise
+            except Exception as exc:
+                # a strict-mode store failure is the abort message, not
+                # an exception: the run's results are already committed
+                try:
+                    self.durpolicy.absorb("store", str(self.store.root), exc)
+                except CampaignAborted as exc2:
+                    if aborted is None:
+                        aborted = str(exc2)
+        return aborted
+
+    def report(self, results: Sequence[CaseResult],
+               aborted: Optional[str]) -> RunReport:
+        """Build the :class:`RunReport`; flush the track and the live plane."""
+        health, tracer, live = self.health, self.tracer, self.live
+        report = RunReport(
+            results=list(results),
+            aborted=aborted,
+            drained_nodes=health.drained if health is not None else [],
+            watchdog=(self.watchdog.as_dict()
+                      if self.watchdog is not None else None),
+            health=health.as_dict() if health is not None else None,
+            trace_path=tracer.path if tracer is not None else None,
+        )
+        if self.store is not None:
+            report.result_cache = self.store.stats.as_dict()
+        if self.durpolicy.total_degraded:
+            report.degraded = self.durpolicy.snapshot()
+        if self.registry is not None:
+            # campaign counters are derived from the final report, so the
+            # snapshot's totals equal the journal-derived counts by
+            # construction (the trace smoke test locks this in)
+            self._publish_metrics(report)
+            report.metrics = self.registry.snapshot()
+        if tracer is not None and not self._absorbed(
+                "trace", tracer.path, self._flush_track, report.metrics):
+            tracer.disable_disk()
+            report.degraded = self.durpolicy.snapshot()
+        if live is not None:
+            # fold the end-of-run counters (store hit rates, degraded
+            # streams) and emit the final status record; per fleet
+            # slice these fold additively, like merge_snapshot
+            live.finalize(report.metrics, now=self.cursor)
+            report.live_status_path = live.status_path
+        if self.journal is not None and report.success:
+            # a finished campaign's journal only needs its latest state
+            self.journal.compact()
+        return report
+
+    def _flush_track(self, metrics: Optional[Dict[str, Any]]) -> None:
+        self.tracer.flush(self.campaign_rec)
+        if metrics is not None:
+            self.tracer.write_metrics(metrics)
+
+    def _publish_metrics(self, report: RunReport) -> None:
+        """Fold the campaign's outcome counters into the registry.
 
         The counter values mirror :meth:`RunReport.summary` exactly --
         every number a human reads in the ``[ PASSED ]`` epilogue has a
         machine-readable ``cases.*`` / ``retry.*`` twin in the snapshot.
         """
+        registry = self.registry
         registry.counter("cases.total").add(report.num_cases)
         registry.counter("cases.passed").add(len(report.passed))
         registry.counter("cases.failed").add(len(report.failed))
@@ -1106,29 +1112,15 @@ class Executor:
             1.0 if report.aborted else 0.0
         )
         # subsystem caches publish their own namespaces
-        self.concretizer_cache.stats.publish(registry, "concretize")
-        if store is not None:
+        self.executor.concretizer_cache.stats.publish(registry, "concretize")
+        if self.store is not None:
             # only when a result store is armed: cold campaigns keep the
             # exact metrics namespace (and trace trailer bytes) they had
             # before incremental mode existed
             registry.counter("cases.replayed").add(len(report.replayed))
-            store.stats.publish(registry, "resultstore")
+            self.store.stats.publish(registry, "resultstore")
         if report.degraded:
             # only when a storage failure was actually absorbed: quiet
             # campaigns keep a byte-identical metrics namespace
             for artifact, count in sorted(report.degraded.items()):
                 registry.counter(f"io.degraded.{artifact}").add(count)
-
-    def run(
-        self,
-        test_classes: Sequence[Type[RegressionTest]],
-        system: str,
-        policy: str = "serial",
-        workers: int = 1,
-        **kwargs: Any,
-    ) -> RunReport:
-        return self.run_cases(
-            self.expand_cases(test_classes, system, **kwargs),
-            policy=policy,
-            workers=workers,
-        )

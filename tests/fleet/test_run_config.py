@@ -217,7 +217,7 @@ def test_run_config_validates_once(fields, fragment):
         Executor().run_cases([], **fields)
 
 
-def test_run_config_declares_the_nineteen_run_options():
+def test_run_config_declares_the_eighteen_run_options():
     assert len(dataclasses.fields(RunConfig)) == 18
     with pytest.raises(dataclasses.FrozenInstanceError):
         RunConfig().policy = "async"

@@ -104,6 +104,8 @@ def test_prepare_validates_with_cli_error_messages(tmp_path):
         (dict(watchdog="bogus=1"), "--watchdog"),
         (dict(suites=["no-such-suite"]), "unknown benchmark suite"),
         (dict(name=["zzz-matches-nothing"]), "no tests match the selection"),
+        (dict(journal_batch=4), "--journal-batch requires --journal PATH"),
+        (dict(straggler_factor=3.0), "--straggler-factor requires --speculate"),
     ]
     for overrides, fragment in checks:
         with pytest.raises(CampaignConfigError) as err:

@@ -201,6 +201,16 @@ class TestScalingFlags:
         assert rc == 1
         assert "--journal-batch" in capsys.readouterr().err
 
+    def test_flags_of_an_unarmed_feature_rejected(self, capsys, tmp_path):
+        rc = self._run(tmp_path, "--journal-batch", "4")
+        assert rc == 1
+        assert "--journal-batch requires --journal PATH" in \
+            capsys.readouterr().err
+        rc = self._run(tmp_path, "--straggler-factor", "3")
+        assert rc == 1
+        assert "--straggler-factor requires --speculate" in \
+            capsys.readouterr().err
+
     def test_profile_prints_hotspot_table(self, capsys, tmp_path):
         rc = self._run(tmp_path, "--profile")
         err = capsys.readouterr().err
