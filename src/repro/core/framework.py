@@ -22,6 +22,7 @@ from repro.core.workflow import BenchmarkingWorkflow, WorkflowResult
 from repro.runner.benchmark import RegressionTest
 from repro.runner.cli import SUITES, load_suite
 from repro.runner.config import SiteConfig, default_site_config
+from repro.runner.executor import RunConfig
 
 __all__ = ["BenchmarkingFramework"]
 
@@ -55,15 +56,22 @@ class BenchmarkingFramework:
         self,
         suite: str,
         platforms: Sequence[str],
-        **run_options: Any,
+        config: Optional[RunConfig] = None,
+        **selection: Any,
     ) -> WorkflowResult:
-        """Run one suite across platforms (the Figure 1 workflow)."""
+        """Run one suite across platforms (the Figure 1 workflow).
+
+        *config* carries the run options (``RunConfig(journal=...,
+        result_store=...)`` for a journaled, incremental campaign);
+        *selection* picks cases (``tags=["omp"]``).
+        """
         classes = self.suite(suite)
         workflow = BenchmarkingWorkflow(
             classes,
             platforms,
             perflog_prefix=self.perflog_prefix,
-            **run_options,
+            config=config,
+            **selection,
         )
         return workflow.run()
 

@@ -16,7 +16,7 @@ from repro.analysis.efficiency import architectural_efficiency
 from repro.analysis.portability import performance_portability
 from repro.postprocess.dataframe import DataFrame
 from repro.runner.benchmark import RegressionTest
-from repro.runner.executor import Executor, RunReport
+from repro.runner.executor import Executor, RunConfig, RunReport
 from repro.runner.pipeline import CaseResult
 
 __all__ = ["BenchmarkingWorkflow", "WorkflowResult"]
@@ -67,26 +67,33 @@ class WorkflowResult:
 
 
 class BenchmarkingWorkflow:
-    """Run one benchmark suite across many platforms and analyse the FOMs."""
+    """Run one benchmark suite across many platforms and analyse the FOMs.
+
+    Every platform runs under the one *config* (journal, result store,
+    retries, ...); *selection* takes the
+    :meth:`~repro.runner.executor.Executor.expand_cases` keywords.
+    """
 
     def __init__(
         self,
         test_classes: Sequence[Type[RegressionTest]],
         platforms: Sequence[str],
         perflog_prefix: Optional[str] = None,
-        **run_options: Any,
+        config: Optional[RunConfig] = None,
+        **selection: Any,
     ):
         self.test_classes = list(test_classes)
         self.platforms = list(platforms)
         self.executor = Executor(perflog_prefix=perflog_prefix)
-        self.run_options = run_options
+        self.config = config
+        self.selection = selection
 
     def run(self) -> WorkflowResult:
         result = WorkflowResult()
         records = []
         for platform in self.platforms:
             report = self.executor.run(
-                self.test_classes, platform, **self.run_options
+                self.test_classes, platform, self.config, **self.selection
             )
             result.reports[platform] = report
             for r in report.results:

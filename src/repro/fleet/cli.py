@@ -8,8 +8,9 @@ Subcommands::
     repro-fleet drain  --queue fleet.q
     repro-fleet regressions --timeline fleet.timeline
 
-``submit`` enqueues a campaign spec (the ``repro-bench`` flag surface,
-made durable); ``run`` starts a supervisor that claims, slices and
+``submit`` enqueues a campaign spec (the flags ``repro-bench`` shares
+with it, :func:`~repro.fleet.service.add_campaign_arguments`, made
+durable); ``run`` starts a supervisor that claims, slices and
 completes queued campaigns until the queue is terminal -- SIGTERM makes
 it drain gracefully at the next slice boundary; ``drain`` asks a
 *remote* supervisor (another process, another host sharing the queue
@@ -30,10 +31,9 @@ import sys
 from typing import List, Optional
 
 from repro.fleet.queue import CampaignQueue
-from repro.fleet.service import CampaignSpec
+from repro.fleet.service import CampaignSpec, add_campaign_arguments
 from repro.fleet.supervisor import FleetSupervisor
 from repro.fleet.timeline import ResultsTimeline
-from repro.runner.executor import POLICIES
 
 __all__ = ["main", "build_parser"]
 
@@ -57,40 +57,8 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--nodes", type=int, default=1,
                         help="node budget the campaign occupies while "
                              "leased (default: 1)")
-    # the repro-bench surface a queued spec can carry; dests name
-    # CampaignSpec fields, which CampaignSpec.from_args copies
-    submit.add_argument("-c", "--checkpath", dest="suites", action="append",
-                        default=[], required=True,
-                        help="benchmark suite to load")
-    submit.add_argument("--system", default=None)
-    submit.add_argument("--site", dest="site_yaml", action="append",
-                        default=[], metavar="YAML")
-    submit.add_argument("-S", "--spack-var", action="append", default=[],
-                        metavar="VAR=VAL")
-    submit.add_argument("--setvar", action="append", default=[],
-                        metavar="VAR=VAL")
-    submit.add_argument("-n", "--name", action="append", default=[])
-    submit.add_argument("-x", "--exclude", action="append", default=[])
-    submit.add_argument("--tag", dest="tags", action="append", default=[])
-    submit.add_argument("-J", "--job-option", dest="job_options",
-                        action="append", default=[])
-    submit.add_argument("--environ", dest="environs", action="append",
-                        default=[])
-    submit.add_argument("--perflog-dir", default="perflogs")
-    submit.add_argument("--policy", choices=POLICIES, default="serial")
-    submit.add_argument("-j", "--max-workers", type=int, default=4)
-    submit.add_argument("--max-retries", type=int, default=2)
-    submit.add_argument("--max-failures", type=int, default=None)
-    submit.add_argument("--journal", default=None, metavar="PATH",
-                        help="campaign journal path (default: derived "
-                             "per-campaign beside the queue)")
-    submit.add_argument("--journal-batch", type=int, default=1)
-    submit.add_argument("--result-store", default=None, metavar="DIR")
-    submit.add_argument("--inject-faults", default=None, metavar="SPEC")
-    submit.add_argument("--fault-seed", type=int, default=0)
-    submit.add_argument("--durability", choices=["strict", "degrade"],
-                        default="strict")
-    submit.add_argument("--watchdog", default=None, metavar="SPEC")
+    # the flags a queued spec carries, declared once for both CLIs
+    add_campaign_arguments(submit, require_suites=True)
 
     run = sub.add_parser("run", help="supervise the queue until done")
     run.add_argument("--queue", required=True, metavar="PATH")

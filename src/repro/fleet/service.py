@@ -8,7 +8,9 @@ attached, so it moves here:
 
 * :class:`CampaignSpec` -- a plain-data description of one campaign
   (the CLI namespace, made serialisable so it can ride in a queue
-  record);
+  record), whose field defaults are the only ones its flags have;
+* :func:`add_campaign_arguments` -- the one declaration of the flags a
+  spec carries, shared by ``repro-bench`` and ``repro-fleet submit``;
 * :class:`CampaignService` -- turns a spec into a
   :class:`PreparedCampaign`: a configured :class:`Executor`, the
   dependency-ordered case list and a validated :class:`RunConfig`;
@@ -27,20 +29,20 @@ from __future__ import annotations
 
 import argparse
 import socket
-import sys
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.runner.config import ConfigError, SiteConfig, default_site_config
-from repro.runner.executor import Executor, RunConfig, RunReport
+from repro.runner.executor import POLICIES, Executor, RunConfig, RunReport
 from repro.runner.parallel import order_by_dependencies
-from repro.runner.resilience import RetryPolicy
+from repro.runner.resilience import DurabilityPolicy, RetryPolicy
 
 __all__ = [
     "CampaignConfigError",
     "CampaignService",
     "CampaignSpec",
     "PreparedCampaign",
+    "add_campaign_arguments",
 ]
 
 
@@ -139,6 +141,100 @@ class CampaignSpec:
         }
         payload = json.dumps(measured, sort_keys=True).encode("utf-8")
         return hashlib.sha256(payload).hexdigest()[:16]
+
+
+def add_campaign_arguments(
+    parser: argparse.ArgumentParser, require_suites: bool = False
+) -> None:
+    """Declare the flags a queued :class:`CampaignSpec` carries.
+
+    ``repro-bench`` and ``repro-fleet submit`` both call this.  Each
+    ``dest`` names a spec field, and no flag passes ``default=``: the
+    parser takes every spec field's default from ``CampaignSpec()``, so
+    a flag declared after this call (``repro-bench --speculate``) gets
+    its field's default too.
+    """
+    add = parser.add_argument
+    add("-c", "--checkpath", dest="suites", action="append",
+        required=require_suites,
+        help="benchmark suite to load: a built-in suite name (babelstream, "
+             "stream, hpcg, hpgmg, osu) or a Python sweep file")
+    add("--system",
+        help="target 'system[:partition]'; auto-detected otherwise")
+    add("--site", dest="site_yaml", action="append", metavar="YAML",
+        help="merge extra system definitions from a site YAML file "
+             "(repeatable); lets a campaign target fleets not in the "
+             "built-in registry")
+    add("-S", "--spack-var", action="append", metavar="VAR=VAL",
+        help="set a test variable (spack_spec=...)")
+    add("--setvar", action="append", metavar="VAR=VAL",
+        help="set a test variable")
+    add("-n", "--name", action="append",
+        help="only tests whose name matches")
+    add("-x", "--exclude", action="append",
+        help="exclude tests whose name matches")
+    add("--tag", dest="tags", action="append",
+        help="only tests carrying this tag")
+    add("-J", "--job-option", dest="job_options", action="append",
+        help="scheduler option, e.g. -J'--qos=standard'")
+    add("--environ", dest="environs", action="append",
+        help="programming environment(s) to use")
+    add("--perflog-dir",
+        help="perflog output prefix (default: %(default)s)")
+    add("--policy", choices=POLICIES,
+        help="execution policy: 'serial' (one case at a time) or 'async' "
+             "(dependency wavefronts on a thread pool); both "
+             "deterministic with serial-identical output "
+             "(default: %(default)s)")
+    add("-j", "--max-workers", type=int, metavar="N",
+        help="thread pool size for --policy=async (default: %(default)s)")
+    # ---- resilience (DESIGN.md section 6) -------------------------------
+    add("--max-retries", type=int, metavar="N",
+        help="retries per case for *transient* failures (scheduler "
+             "errors, build flakes, job timeouts/node failures); 0 "
+             "disables (default: %(default)s)")
+    add("--max-failures", type=int, metavar="N",
+        help="campaign circuit breaker: stop submitting new cases after "
+             "N case failures (default: unlimited)")
+    add("--journal", metavar="PATH",
+        help="append every finished case to a crash-safe JSONL campaign "
+             "journal at PATH (repro-fleet derives one per campaign "
+             "beside the queue when unset)")
+    add("--journal-batch", type=int, metavar="N",
+        help="with --journal: group-commit journal appends in batches of "
+             "N cases (same bytes, ~N x fewer fsyncs, bounded tail-loss "
+             "window; default: %(default)s)")
+    # ---- incremental campaigns (DESIGN.md section 8) --------------------
+    add("--result-store", metavar="DIR",
+        help="content-addressed whole-case result store: cases whose "
+             "composite address (spec, system, benchmark source, run "
+             "config) is unchanged since a previous campaign are replayed "
+             "from DIR -- same perflog rows, spans and energy, byte for "
+             "byte -- and only the invalidated delta re-executes")
+    add("--inject-faults", metavar="SPEC",
+        help="deterministic chaos testing: inject faults per SPEC, e.g. "
+             "'build:0.3,submit:0.2x2,timeout@*hpcg*#1' (case kinds: "
+             "build, submit, timeout, hook, perflog, hang, slow, "
+             "sicknode) or storage faults with an artifact glob, e.g. "
+             "'torn:0.05@journal,enospc:0.01' (I/O kinds: enospc, eio, "
+             "torn, bitrot, fsync-lie; targets: journal, trace, perflog, "
+             "store, pack, index)")
+    add("--fault-seed", type=int, metavar="N",
+        help="seed for --inject-faults selection and backoff jitter "
+             "(default: %(default)s)")
+    add("--durability", choices=DurabilityPolicy.MODES,
+        help="storage-failure policy (DESIGN.md section 6.6): 'strict' "
+             "fail-stops on any artifact write failure, naming the "
+             "artifact; 'degrade' finishes the campaign without the "
+             "failing accelerator (result store, trace) and reports what "
+             "was absorbed -- journals and perflogs always fail-stop "
+             "(default: %(default)s)")
+    # ---- slow faults (DESIGN.md section 6.4) ----------------------------
+    add("--watchdog", metavar="SPEC",
+        help="per-stage deadlines on the simulated clock: SECONDS (run "
+             "deadline) or 'run=S,build=S[,heartbeat=S]'; a job past its "
+             "run budget is killed as HUNG (transient, hence retried)")
+    parser.set_defaults(**CampaignSpec().to_doc())
 
 
 @dataclass
@@ -277,13 +373,6 @@ class CampaignService:
             system=system,
             warnings=warnings,
         )
-
-    def run(self, spec: CampaignSpec, resume: bool = False) -> RunReport:
-        """One-shot: prepare and run the whole campaign."""
-        prepared = self.prepare(spec, resume=resume)
-        for warning in prepared.warnings:
-            print(f"warning: {warning}", file=sys.stderr)
-        return prepared.run()
 
     # -- the pieces ``repro-bench`` main() used to inline -----------------
     def _load_classes(self, suites: Sequence[str]) -> List[type]:

@@ -48,6 +48,8 @@ import threading
 import zlib
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
+from repro.iofaults import FaultyIO
+
 __all__ = [
     "JsonlAppender",
     "read_jsonl",
@@ -336,13 +338,5 @@ def write_jsonl_atomic(
     if directory:
         os.makedirs(directory, exist_ok=True)
     body = "".join(seal_line(record) + "\n" for record in records)
-    if io is not None:
-        io.write_atomic(path, body.encode("utf-8"), label, sync=sync)
-        return
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(body)
-        fh.flush()
-        if sync:
-            os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    (io or FaultyIO()).write_atomic(path, body.encode("utf-8"), label,
+                                    sync=sync)

@@ -26,7 +26,6 @@ import sys
 from typing import List, Optional
 
 from repro.runner.benchmark import REGISTRY
-from repro.runner.executor import POLICIES
 
 __all__ = ["main", "build_parser", "load_suite"]
 
@@ -99,134 +98,41 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-bench",
         description="Automated, reproducible benchmarking (simulated platforms)",
     )
-    # dests name CampaignSpec fields: CampaignSpec.from_args copies them
-    parser.add_argument("-c", "--checkpath", dest="suites", action="append",
-                        default=[], help="benchmark suite to load (babelstream/hpcg/hpgmg)")
+    # the flags a queued campaign spec carries, shared with repro-fleet
+    # submit; the spec also holds the defaults of the ones below
+    from repro.fleet.service import add_campaign_arguments
+
+    add_campaign_arguments(parser)
     parser.add_argument("-r", "--run", action="store_true", help="run the tests")
     parser.add_argument("--list", action="store_true", help="list selected tests")
-    parser.add_argument("--system", default=None,
-                        help="target 'system[:partition]'; auto-detected otherwise")
-    parser.add_argument("--site", dest="site_yaml", action="append",
-                        default=[], metavar="YAML",
-                        help="merge extra system definitions from a site "
-                             "YAML file (repeatable); lets a campaign "
-                             "target fleets not in the built-in registry")
-    parser.add_argument("-S", "--spack-var", action="append", default=[],
-                        metavar="VAR=VAL", help="set a test variable (spack_spec=...)")
-    parser.add_argument("--setvar", action="append", default=[],
-                        metavar="VAR=VAL", help="set a test variable")
-    parser.add_argument("-n", "--name", action="append", default=[],
-                        help="only tests whose name matches")
-    parser.add_argument("-x", "--exclude", action="append", default=[],
-                        help="exclude tests whose name matches")
-    parser.add_argument("--tag", dest="tags", action="append", default=[],
-                        help="only tests carrying this tag")
-    parser.add_argument("-J", "--job-option", dest="job_options",
-                        action="append", default=[],
-                        help="scheduler option, e.g. -J'--qos=standard'")
     parser.add_argument("--performance-report", action="store_true")
-    parser.add_argument("--perflog-dir", default="perflogs",
-                        help="perflog output prefix (default: ./perflogs)")
-    parser.add_argument("--environ", dest="environs", action="append",
-                        default=[],
-                        help="programming environment(s) to use")
     parser.add_argument("--dry-run", action="store_true",
                         help="concretize and render job scripts, run nothing")
-    parser.add_argument("--policy", choices=POLICIES,
-                        default="serial",
-                        help="execution policy: 'serial' (one case at a "
-                             "time) or 'async' (dependency wavefronts on a "
-                             "thread pool); both deterministic with "
-                             "serial-identical output")
-    parser.add_argument("-j", "--max-workers", type=int, default=4,
-                        metavar="N",
-                        help="thread pool size for --policy=async "
-                             "(default: 4)")
-    # ---- resilience (DESIGN.md section 6) -------------------------------
-    parser.add_argument("--max-retries", type=int, default=2, metavar="N",
-                        help="retries per case for *transient* failures "
-                             "(scheduler errors, build flakes, job "
-                             "timeouts/node failures); 0 disables "
-                             "(default: 2)")
-    parser.add_argument("--max-failures", type=int, default=None,
-                        metavar="N",
-                        help="campaign circuit breaker: stop submitting "
-                             "new cases after N case failures "
-                             "(default: unlimited)")
-    parser.add_argument("--journal", default=None, metavar="PATH",
-                        help="append every finished case to a crash-safe "
-                             "JSONL campaign journal at PATH")
-    parser.add_argument("--journal-batch", type=int, default=1,
-                        metavar="N",
-                        help="with --journal: group-commit journal "
-                             "appends in batches of N cases (same bytes, "
-                             "~N x fewer fsyncs, bounded tail-loss window; "
-                             "default: 1)")
     parser.add_argument("--resume", action="store_true",
                         help="with --journal: skip cases the journal "
                              "records as completed, re-run only "
                              "incomplete ones")
-    # ---- incremental campaigns (DESIGN.md section 8) --------------------
-    parser.add_argument("--result-store", default=None, metavar="DIR",
-                        help="content-addressed whole-case result store: "
-                             "cases whose composite address (spec, system, "
-                             "benchmark source, run config) is unchanged "
-                             "since a previous campaign are replayed from "
-                             "DIR -- same perflog rows, spans and energy, "
-                             "byte for byte -- and only the invalidated "
-                             "delta re-executes")
     parser.add_argument("--cache-stats", action="store_true",
                         help="with --result-store: print hit/miss/"
                              "invalidation counters after the summary")
-    parser.add_argument("--inject-faults", default=None, metavar="SPEC",
-                        help="deterministic chaos testing: inject faults "
-                             "per SPEC, e.g. 'build:0.3,submit:0.2x2,"
-                             "timeout@*hpcg*#1' (case kinds: build, "
-                             "submit, timeout, hook, perflog, hang, slow, "
-                             "sicknode) or storage faults with an "
-                             "artifact glob, e.g. 'torn:0.05@journal,"
-                             "enospc:0.01' (I/O kinds: enospc, eio, torn, "
-                             "bitrot, fsync-lie; targets: journal, trace, "
-                             "perflog, store, pack, index)")
-    parser.add_argument("--fault-seed", type=int, default=0, metavar="N",
-                        help="seed for --inject-faults selection and "
-                             "backoff jitter (default: 0)")
-    parser.add_argument("--durability", choices=["strict", "degrade"],
-                        default="strict",
-                        help="storage-failure policy (DESIGN.md section "
-                             "6.6): 'strict' fail-stops on any artifact "
-                             "write failure, naming the artifact; "
-                             "'degrade' finishes the campaign without the "
-                             "failing accelerator (result store, trace) "
-                             "and reports what was absorbed "
-                             "-- journals and perflogs always fail-stop "
-                             "(default: strict)")
     # ---- slow faults (DESIGN.md section 6.4) ----------------------------
-    parser.add_argument("--watchdog", default=None, metavar="SPEC",
-                        help="per-stage deadlines on the simulated clock: "
-                             "SECONDS (run deadline) or "
-                             "'run=S,build=S[,heartbeat=S]'; a job past "
-                             "its run budget is killed as HUNG "
-                             "(transient, hence retried)")
     parser.add_argument("--speculate", action="store_true",
                         help="straggler mitigation: launch one "
                              "speculative duplicate for cases slower "
                              "than --straggler-factor x the running "
                              "median of completed peers; first completion "
                              "wins, only the winner is perflogged")
-    parser.add_argument("--straggler-factor", type=float, default=2.0,
-                        metavar="F",
+    parser.add_argument("--straggler-factor", type=float, metavar="F",
                         help="with --speculate: threshold multiplier "
                              "over the running median case duration "
-                             "(default: 2.0)")
-    parser.add_argument("--drain-after", type=int, default=None,
-                        metavar="N",
+                             "(default: %(default)s)")
+    parser.add_argument("--drain-after", type=int, metavar="N",
                         help="node health: softly drain a node after N "
                              "attributed fault events (hangs, failures, "
                              "degradations); state is journaled and "
                              "survives --resume (default: off)")
     # ---- observability (DESIGN.md section 7) ----------------------------
-    parser.add_argument("--trace", default=None, metavar="PATH",
+    parser.add_argument("--trace", metavar="PATH",
                         help="stream structured spans (pipeline stages, "
                              "scheduler lifecycle, retries, watchdog "
                              "events) to a crash-safe JSONL trace at PATH; "
@@ -237,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="collect campaign counters and duration "
                              "histograms and print the breakdown after "
                              "the summary (implied by --trace)")
-    parser.add_argument("--live-status", default=None, metavar="PATH",
+    parser.add_argument("--live-status", metavar="PATH",
                         help="stream live windowed aggregates (per-system "
                              "throughput, latency percentiles, alerts) to "
                              "a sealed JSONL artifact at PATH while the "

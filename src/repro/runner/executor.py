@@ -419,7 +419,6 @@ class Executor:
         perflog_prefix: Optional[str] = None,
         perflog_batch: int = 64,
         perflog_timestamp: Optional[Union[str, Callable[[], str]]] = None,
-        concretizer_cache: Optional[ConcretizationCache] = None,
     ):
         self.site = site or default_site_config()
         self.perflog = (
@@ -437,7 +436,7 @@ class Executor:
         # one concretization memo per executor: identical (abstract spec,
         # system config) pairs solve once per campaign (Principle 4: every
         # concretization, cached or not, still lands in the lockfile)
-        self.concretizer_cache = concretizer_cache or ConcretizationCache()
+        self.concretizer_cache = ConcretizationCache()
 
     def expand_cases(
         self,
@@ -560,14 +559,17 @@ class Executor:
         self,
         test_classes: Sequence[Type[RegressionTest]],
         system: str,
-        policy: str = "serial",
-        workers: int = 1,
-        **kwargs: Any,
+        config: Optional[RunConfig] = None,
+        **selection: Any,
     ) -> RunReport:
+        """Expand *test_classes* on *system* and run them under *config*.
+
+        *selection* takes the :meth:`expand_cases` keywords (``tags``,
+        ``environs``, ``name_patterns``, ...); every run option rides in
+        *config*.
+        """
         return self.run_cases(
-            self.expand_cases(test_classes, system, **kwargs),
-            policy=policy,
-            workers=workers,
+            self.expand_cases(test_classes, system, **selection), config
         )
 
 

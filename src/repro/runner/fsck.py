@@ -42,6 +42,7 @@ import os
 import sys
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.iofaults import FaultyIO
 from repro.obs.jsonl import scan_jsonl, write_jsonl_atomic
 from repro.runner.perflog import (
     _range_ok, _read_sums, _sums_entries, sums_path, verify_sums,
@@ -92,11 +93,9 @@ def fsck_live_status(path: str, repair: bool = False) -> Dict[str, Any]:
 
 
 # -- perflogs + .sums sidecars ---------------------------------------------------------
-def _replace(path: str, data: bytes) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+#: temp + fsync + rename: a crash mid-repair leaves the old file or the
+#: healed one, and the healed one is durable before it replaces the old
+_write_atomic = FaultyIO().write_atomic
 
 
 def _is_row(tail: bytes, path: str) -> bool:
@@ -153,10 +152,11 @@ def fsck_perflog(path: str, repair: bool = False) -> Dict[str, Any]:
         # keepable when they are whole lines
         keep.extend(_whole_lines(data[end:], path))
         healed_data = bytes(keep)
-        _replace(path, healed_data)
+        _write_atomic(path, healed_data, "perflog")
         entries, _ = _sums_entries(0, healed_data)
-        _replace(sums_path(path),
-                 "".join(e + "\n" for e in entries).encode("utf-8"))
+        _write_atomic(sums_path(path),
+                      "".join(e + "\n" for e in entries).encode("utf-8"),
+                      "perflog")
         healed = problems
     return _report("perflog", path, checked, problems, healed)
 
@@ -186,7 +186,7 @@ def fsck_store(root: str, repair: bool = False) -> Dict[str, Any]:
     healed = 0
     if invalid and repair:
         body = "".join(_pack_line(key, sealed) for key, sealed in intact)
-        _replace(pack_file, body.encode("utf-8"))
+        _write_atomic(pack_file, body.encode("utf-8"), "store")
         healed = invalid
     return _report("store", root, checked, invalid, healed)
 

@@ -10,7 +10,7 @@ from repro.core.principles import PRINCIPLES, ComplianceAuditor
 from repro.core.provenance import RunProvenance
 from repro.core.workflow import BenchmarkingWorkflow
 from repro.runner.cli import load_suite
-from repro.runner.executor import Executor
+from repro.runner.executor import Executor, RunConfig
 
 
 @pytest.fixture(scope="module")
@@ -148,3 +148,47 @@ class TestFrameworkFacade:
         va = a.fom("csd3", "BabelStreamBenchmark_omp", "Triad")
         vb = b.fom("csd3", "BabelStreamBenchmark_omp", "Triad")
         assert va == vb
+
+    def test_run_campaign_takes_a_run_config(self, tmp_path):
+        """The facade runs a journaled, store-backed campaign, and a warm
+        rerun replays every case into byte-identical perflogs."""
+        store = str(tmp_path / "store")
+        platforms = ["archer2", "csd3"]
+        results = {}
+        for run in ("cold", "warm"):
+            fw = BenchmarkingFramework(perflog_prefix=str(tmp_path / run))
+            journal = tmp_path / f"{run}.jsonl"
+            results[run] = fw.run_campaign(
+                "babelstream", platforms,
+                config=RunConfig(journal=str(journal), result_store=store))
+            cases = sum(rep.num_cases for rep in results[run].reports.values())
+            assert cases == 20
+            assert len(journal.read_text().splitlines()) == cases
+        for platform in platforms:
+            cold = results["cold"].reports[platform]
+            warm = results["warm"].reports[platform]
+            assert cold.result_cache["puts"] == cold.num_cases
+            assert len(warm.replayed) == warm.num_cases
+            assert warm.result_cache["hit_rate"] == 1.0
+        assert (read_tree(tmp_path / "cold") == read_tree(tmp_path / "warm"))
+
+    def test_executor_run_splits_config_from_selection(self, tmp_path):
+        journal = tmp_path / "j.jsonl"
+        report = Executor().run(load_suite("babelstream"), "archer2",
+                                RunConfig(journal=str(journal)),
+                                tags=["omp"])
+        assert [r.case.test.name for r in report.results] == \
+            ["BabelStreamBenchmark_omp"]
+        assert len(journal.read_text().splitlines()) == 1
+
+
+def read_tree(root):
+    """``{relative path: bytes}`` of every file under *root*."""
+    out = {}
+    for folder, _, files in os.walk(root):
+        for name in files:
+            path = os.path.join(folder, name)
+            with open(path, "rb") as fh:
+                out[os.path.relpath(path, root)] = fh.read()
+    assert out, f"no files under {root}"
+    return out

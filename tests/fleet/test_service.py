@@ -133,7 +133,7 @@ def test_prepare_then_run_matches_one_shot(tmp_path):
     prepared = service.prepare(spec(tmp_path, tag="a"))
     assert prepared.cases and prepared.system == "archer2"
     report_a = prepared.run()
-    report_b = CampaignService().run(spec(tmp_path, tag="b"))
+    report_b = CampaignService().prepare(spec(tmp_path, tag="b")).run()
     assert report_a.success and report_b.success
     assert [r.case.display_name for r in report_a.results] == \
            [r.case.display_name for r in report_b.results]
@@ -153,8 +153,8 @@ def test_sliced_run_with_resume_converges_to_whole_run(tmp_path):
                     out[os.path.relpath(path, prefix)] = fh.read()
         return out
 
-    whole = CampaignService().run(spec(tmp_path, tag="whole", suites=["hpcg"],
-                                       exclude=["HPCG_Intel"]))
+    whole = CampaignService().prepare(spec(
+        tmp_path, tag="whole", suites=["hpcg"], exclude=["HPCG_Intel"])).run()
     assert whole.success
 
     sliced_spec = spec(tmp_path, tag="sliced", suites=["hpcg"],

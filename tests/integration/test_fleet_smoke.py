@@ -131,7 +131,7 @@ def standalone_logs(tmp_path, suite, n, storm=True):
     logs = []
     for i in range(n):
         spec = make_spec(tmp_path, suite, f"solo-{i}", storm=storm)
-        report = CampaignService().run(spec)
+        report = CampaignService().prepare(spec).run()
         assert report.success
         logs.append(perflog_bytes(spec.perflog_dir))
     return logs
