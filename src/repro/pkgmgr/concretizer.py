@@ -19,7 +19,7 @@ this size and, unlike Spack's ASP solver, fully explainable):
 5. pin versions (highest admitted), compilers (environment resolution),
    variants (declared defaults), and inherit the compiler down the DAG,
 6. check every ``conflicts`` directive against the final configuration,
-7. topologically order via :mod:`networkx` and seal the spec.
+7. topologically order (:func:`topological_sort`) and seal the spec.
 
 Concretization is *idempotent* (concretizing a concrete spec returns an
 equal spec) and *deterministic*; both properties are enforced by the test
@@ -28,9 +28,7 @@ suite with hypothesis.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
-
-import networkx as nx
+from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 from repro.pkgmgr.environment import Environment
 from repro.pkgmgr.memo import ConcretizationCache, MemoizedFailure
@@ -40,11 +38,73 @@ from repro.pkgmgr.spec import CompilerSpec, Spec
 from repro.pkgmgr.variant import VariantMap, VariantError
 from repro.pkgmgr.version import VersionList
 
-__all__ = ["Concretizer", "ConcretizationError", "concretize"]
+__all__ = ["Concretizer", "ConcretizationError", "DependencyCycle",
+           "concretize", "topological_sort"]
 
 
 class ConcretizationError(Exception):
     """Raised when no concrete configuration satisfies all constraints."""
+
+
+class DependencyCycle(ValueError):
+    """A directed cycle, as its edges ``[(a, b), (b, c), (c, a)]``."""
+
+    def __init__(self, cycle: List[Tuple[Hashable, Hashable]]):
+        super().__init__(f"dependency cycle: {cycle}")
+        self.cycle = cycle
+
+
+def topological_sort(nodes: Iterable[Hashable],
+                     edges: Iterable[Tuple[Hashable, Hashable]],
+                     reverse: bool = False) -> List[Hashable]:
+    """Order *nodes* so each edge ``(u, v)`` puts ``u`` first (``v`` with
+    *reverse*); install order, and so stored build logs, follow it.
+
+    Kahn's algorithm by generations: the sources in node order, then the
+    children of each placed node in edge order as their in-degree reaches
+    0.  A node first named by an edge joins the node order there, and a
+    repeated edge counts once.  *reverse* turns the edges round node by
+    node in node order (DESIGN.md section 12.4).  A cycle raises
+    :class:`DependencyCycle` naming the first one a depth-first walk
+    meets, starting from each node in order.
+    """
+    succ: Dict[Hashable, Dict[Hashable, None]] = {n: {} for n in nodes}
+    for u, v in edges:
+        succ.setdefault(u, {})[v] = None
+        succ.setdefault(v, {})
+    graph = succ
+    if reverse:
+        graph = {n: {} for n in succ}
+        for u in succ:
+            for v in succ[u]:
+                graph[v][u] = None
+    indegree = dict.fromkeys(graph, 0)
+    for children in graph.values():
+        for v in children:
+            indegree[v] += 1
+    order = [n for n, d in indegree.items() if d == 0]
+    for node in order:  # appended children form the next generation
+        for child in graph[node]:
+            indegree[child] -= 1
+            if indegree[child] == 0:
+                order.append(child)
+    if len(order) == len(graph):
+        return order
+    done: set = set()
+    for start in (n for n in succ if n not in done):
+        path, walks = [start], [iter(succ[start])]
+        while walks:
+            child = next((c for c in walks[-1] if c not in done), None)
+            if child is None:
+                done.add(path.pop())
+                walks.pop()
+            elif child in path:
+                loop = path[path.index(child):] + [child]
+                raise DependencyCycle(list(zip(loop, loop[1:])))
+            else:
+                path.append(child)
+                walks.append(iter(succ[child]))
+    raise AssertionError("unreachable: an unsortable graph has a cycle")
 
 
 #: Architecture facts the environment injects into root specs, usable in
@@ -362,31 +422,27 @@ class Concretizer:
         edges: List[Tuple[str, str]],
         root_name: str,
     ) -> Spec:
-        graph = nx.DiGraph()
-        graph.add_nodes_from(nodes)
-        graph.add_edges_from(edges)
-        if not nx.is_directed_acyclic_graph(graph):
-            cycle = nx.find_cycle(graph)
-            raise ConcretizationError(f"dependency cycle: {cycle}")
-        # build bottom-up so children are attached before parents
+        try:
+            # build bottom-up so children are attached before parents
+            order = topological_sort(nodes, edges, reverse=True)
+        except DependencyCycle as exc:
+            raise ConcretizationError(str(exc)) from None
         finished: Dict[str, Spec] = {}
-        for name in nx.topological_sort(graph.reverse()):
+        for name in order:
             spec = nodes[name].copy(deps=False)
-            spec.dependencies = {
-                child: finished[child] for child in sorted(graph.successors(name))
-            }
+            children = sorted({child for parent, child in edges if parent == name})
+            spec.dependencies = {child: finished[child] for child in children}
             finished[name] = spec
         return finished[root_name]
 
     def build_order(self, concrete: Spec) -> List[Spec]:
         """Install order: dependencies before dependents."""
-        graph = nx.DiGraph()
-        for node in concrete.traverse():
-            graph.add_node(node.name)
-            for dep in node.dependencies.values():
-                graph.add_edge(node.name, dep.name)
-        order = list(nx.topological_sort(graph.reverse()))
-        by_name = {s.name: s for s in concrete.traverse()}
+        by_name = {node.name: node for node in concrete.traverse()}
+        # pre-order names each package but the root as an earlier one's
+        # child, so the root and the edges in walk order fix node order
+        edges = [(node.name, dep.name) for node in by_name.values()
+                 for dep in node.dependencies.values()]
+        order = topological_sort([concrete.name], edges, reverse=True)
         return [by_name[n] for n in order]
 
 

@@ -171,12 +171,23 @@ class RegressionTest:
 
     # -- hooks ----------------------------------------------------------------
     def hooks(self, when: str, stage: str) -> List[Callable[[], None]]:
-        found = []
-        for klass in reversed(type(self).__mro__):
-            for attr in vars(klass).values():
-                if getattr(attr, "_rfm_hook", None) == (when, stage):
-                    found.append(getattr(self, attr.__name__))
-        return found
+        """Bound hooks for one slot, base first; an override replaces the
+        base's hook in its slot, decorated or not."""
+        cls = type(self)
+        # built once per class, in its own __dict__ so a subclass builds
+        # its own; a dunder name, which the result store's source hash
+        # skips.  Racing threads build equal tables and never mutate one.
+        table = cls.__dict__.get("__rfm_hooks__")
+        if table is None:
+            table, seen = {}, set()
+            for klass in reversed(cls.__mro__):
+                for attr in vars(klass).values():
+                    slot = getattr(attr, "_rfm_hook", None)
+                    if slot is not None and attr.__name__ not in seen:
+                        seen.add(attr.__name__)
+                        table.setdefault(slot, []).append(attr.__name__)
+            cls.__rfm_hooks__ = table
+        return [getattr(self, name) for name in table.get((when, stage), ())]
 
     # -- validity ----------------------------------------------------------------
     def supports_platform(self, system: str, partition: str) -> bool:

@@ -35,6 +35,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.pkgmgr.concretizer import DependencyCycle, topological_sort
 from repro.runner.pipeline import CaseResult, TestCase, infra_failure
 
 __all__ = [
@@ -50,10 +51,8 @@ __all__ = [
 FinishedKey = Tuple[str, str]
 
 
-def _dependency_edges(
-    cases: Sequence[TestCase],
-) -> Tuple[Dict[FinishedKey, List[int]], List[Tuple[int, int]]]:
-    """Producer index map and (producer, consumer) edges for *cases*."""
+def _dependency_edges(cases: Sequence[TestCase]) -> List[Tuple[int, int]]:
+    """The (producer, consumer) index edges of *cases*."""
     by_key: Dict[FinishedKey, List[int]] = {}
     for i, case in enumerate(cases):
         key = (case.platform, type(case.test).base_name())
@@ -63,7 +62,7 @@ def _dependency_edges(
         for dep_name in getattr(case.test, "depends_on_tests", ()):
             for j in by_key.get((case.platform, dep_name), []):
                 edges.append((j, i))
-    return by_key, edges
+    return edges
 
 
 def _has_dependencies(cases: Sequence[TestCase]) -> bool:
@@ -88,18 +87,12 @@ def order_by_dependencies(cases: Sequence[TestCase]) -> List[TestCase]:
     """
     if not _has_dependencies(cases):
         return list(cases)
-    import networkx as nx
-
-    graph = nx.DiGraph()
-    graph.add_nodes_from(range(len(cases)))
-    _, edges = _dependency_edges(cases)
-    graph.add_edges_from(edges)
+    edges = _dependency_edges(cases)
     try:
-        order = list(nx.topological_sort(graph))
-    except nx.NetworkXUnfeasible:
-        cycle = nx.find_cycle(graph)
-        path = [cases[u].display_name for u, _ in cycle]
-        path.append(cases[cycle[0][0]].display_name)
+        order = topological_sort(range(len(cases)), edges)
+    except DependencyCycle as exc:
+        path = [cases[u].display_name for u, _ in exc.cycle]
+        path.append(cases[exc.cycle[0][0]].display_name)
         raise ValueError(
             f"test dependency cycle: {' -> '.join(path)}"
         ) from None
@@ -117,7 +110,7 @@ def dependency_waves(ordered: Sequence[TestCase]) -> List[List[int]]:
     """
     if not _has_dependencies(ordered):
         return [list(range(len(ordered)))] if ordered else []
-    _, edges = _dependency_edges(ordered)
+    edges = _dependency_edges(ordered)
     producers: Dict[int, List[int]] = {}
     for j, i in edges:
         producers.setdefault(i, []).append(j)

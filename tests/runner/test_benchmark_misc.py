@@ -1,5 +1,8 @@
 """Coverage for hooks, naming, registry edges, and detection ambiguity."""
 
+import importlib.util
+import os
+
 import pytest
 
 from repro.runner.benchmark import (
@@ -17,6 +20,7 @@ from repro.runner.config import (
 from repro.runner.executor import Executor
 from repro.runner.fields import parameter
 from repro.runner.pipeline import TestCase as RunnerCase, run_case
+from repro.runner.resilience import benchmark_source_hash
 from repro.runner import sanity as sn
 
 
@@ -70,6 +74,81 @@ class TestHooks:
         assert test.calls.index("before_run") < test.calls.index(
             "child_before_run"
         )
+
+    def test_overridden_hook_runs_once(self):
+        class Override(HookedTest):
+            @run_before("run")
+            def before_run(self):
+                self.calls.append("override_before_run")
+
+        test = Override()
+        assert test.hooks("before", "run") == [test.before_run]
+        self.run_one(test)
+        assert test.calls == [
+            "after_setup", "override_before_run", "after_run",
+        ]
+
+    def test_undecorated_override_stays_a_hook(self):
+        class Plain(HookedTest):
+            def before_run(self):
+                self.calls.append("plain_before_run")
+
+        test = Plain()
+        self.run_one(test)
+        assert test.calls == ["after_setup", "plain_before_run", "after_run"]
+
+    def test_hook_order_base_mixin_subclass(self):
+        class Mixin:
+            @run_before("run")
+            def mixin_hook(self):
+                pass
+
+        class Mid(HookedTest, Mixin):
+            @run_before("run")
+            def mid_hook(self):
+                pass
+
+        class Leaf(Mid):
+            @run_before("run")
+            def leaf_hook(self):
+                pass
+
+            @run_before("run")
+            def before_run(self):
+                pass
+
+        test = Leaf()
+        # reversed MRO: Mixin, HookedTest, Mid, Leaf; the override keeps
+        # HookedTest's slot
+        names = [h.__name__ for h in test.hooks("before", "run")]
+        assert names == ["mixin_hook", "before_run", "mid_hook", "leaf_hook"]
+        assert test.hooks("before", "run")[1] == test.before_run
+        assert [h.__name__ for h in test.hooks("after", "setup")] == [
+            "after_setup"
+        ]
+        assert test.hooks("before", "build") == []
+
+    def test_each_class_builds_its_own_hook_table(self):
+        path = os.path.join(os.path.dirname(__file__), "..", "..",
+                            "perfbench", "probes.py")
+        spec = importlib.util.spec_from_file_location("_hook_probes", path)
+        probes = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(probes)
+        first, second = probes.inc_class(0, 0.0), probes.inc_class(0, 0.0)
+        assert first(point=0).hooks("before", "run") == []
+        assert "__rfm_hooks__" in vars(first)
+        assert "__rfm_hooks__" not in vars(second)
+        # the table is not class data: the result store's key is unchanged
+        assert benchmark_source_hash(first) == benchmark_source_hash(second)
+
+        class Sub(first):
+            @run_before("run")
+            def sub_hook(self):
+                pass
+
+        test = Sub(point=0)
+        assert test.hooks("before", "run") == [test.sub_hook]
+        assert first(point=0).hooks("before", "run") == []
 
     def test_after_run_not_called_on_failure(self):
         class Crashy(HookedTest):
